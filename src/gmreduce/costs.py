@@ -1,6 +1,16 @@
 """Reduction costs: divergence estimates, baseline bounds, and the
 reverse-divergence surrogates used by the greedy engine.
 
+Every pair statistic behind a cost comes from one batched layer.  Its
+kernels take two :class:`~gmreduce.gauss.ComponentArrays` stacks aligned
+row by row -- for index lists I, J, ``arr.take(I)`` and ``arr.take(J)``
+-- and evaluate all rows in stacked numpy calls: the moment matches,
+the merge kernels of ``runnalls``, ``arkl-simple`` and ``arkl``
+(:func:`_merge_kernels`), the divergence matrix (:func:`_kld_matrix`)
+and Gaussian overlaps (:func:`_overlaps`).  The public scalar functions
+are batches of one over these kernels and both reduction engines call
+them, so each cost has one definition.
+
 The merge-direction surrogates follow one pattern: a candidate action's
 cost has the form
 
@@ -27,16 +37,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp, ndtr
 
 from . import mixture as mix
 from .gauss import (
+    _LOG_2PI,
+    ComponentArrays,
     GaussianComponent,
-    expected_log,
+    _check_same_dim,
+    _cholesky,
+    _expected_log,
+    _moment_match,
+    _overlaps,
+    _solve_lower,
+    _whiten,
+    expected_log,  # noqa: F401 -- kept importable here for call tracers
     kld_gauss,
     max_value,
-    moment_match_merge,
+    moment_match_merge,  # noqa: F401 -- kept importable here for call tracers
     product_decompose,
 )
 from .mixture import GaussianMixture, Hypothesis, Merge, Prune
@@ -109,24 +127,29 @@ class DisjointSupportError(ArithmeticError):
         )
 
 
+def _pair_arrays(a: GaussianComponent, b: GaussianComponent) -> tuple[ComponentArrays, ComponentArrays]:
+    """Two one-row stacks: the batch of one behind every scalar pair function."""
+    _check_same_dim(a, b)
+    return ComponentArrays.of((a,)), ComponentArrays.of((b,))
+
+
+# ---------------------------------------------------------------------------
+# Overlaps and the squared error
+# ---------------------------------------------------------------------------
+
+
 def gaussian_overlap(a: GaussianComponent, b: GaussianComponent) -> float:
     """Integral of the product of two Gaussian densities.
 
     Equals ``N(mean_a; mean_b, cov_a + cov_b)``; weights are ignored.
     """
-    return product_decompose(a, b).scale
+    return float(_overlaps(*_pair_arrays(a, b))[0])
 
 
-def _overlap_matrix(comps_a, comps_b) -> np.ndarray:
-    out = np.empty((len(comps_a), len(comps_b)))
-    for r, a in enumerate(comps_a):
-        for c, b in enumerate(comps_b):
-            out[r, c] = gaussian_overlap(a, b)
-    return out
-
-
-def _ise_from_overlaps(wp: np.ndarray, wq: np.ndarray, gpp: np.ndarray, gqq: np.ndarray, gpq: np.ndarray) -> float:
-    return float(wp @ gpp @ wp + wq @ gqq @ wq - 2.0 * (wp @ gpq @ wq))
+def _overlap_matrix(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
+    """Overlaps of every row of ``a`` with every row of ``b``, as one stacked call."""
+    rows, cols = np.indices((len(a), len(b))).reshape(2, -1)
+    return _overlaps(a.take(rows), b.take(cols)).reshape(len(a), len(b))
 
 
 def ise_analytic(p: GaussianMixture, q: GaussianMixture) -> float:
@@ -138,10 +161,12 @@ def ise_analytic(p: GaussianMixture, q: GaussianMixture) -> float:
     """
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    gpp = _overlap_matrix(p.components, p.components)
-    gqq = _overlap_matrix(q.components, q.components)
-    gpq = _overlap_matrix(p.components, q.components)
-    return _ise_from_overlaps(p.weights, q.weights, gpp, gqq, gpq)
+    pa, qa = ComponentArrays.of(p.components), ComponentArrays.of(q.components)
+    wp, wq = p.weights, q.weights
+    gpp = _overlap_matrix(pa, pa)
+    gqq = _overlap_matrix(qa, qa)
+    gpq = _overlap_matrix(pa, qa)
+    return float(wp @ gpp @ wp + wq @ gqq @ wq - 2.0 * (wp @ gpq @ wq))
 
 
 def mc_kld(from_: GaussianMixture, to: GaussianMixture, n: int, seed) -> DivergenceEstimate:
@@ -168,18 +193,139 @@ def mc_kld(from_: GaussianMixture, to: GaussianMixture, n: int, seed) -> Diverge
 
 
 # ---------------------------------------------------------------------------
-# Forward-divergence baseline (Runnalls)
+# Merge kernels: one definition for every engine and public function
 # ---------------------------------------------------------------------------
 
 
-def _runnalls_kernel(a: GaussianComponent, b: GaussianComponent) -> tuple[float, float]:
-    """Per-pair divergences to the moment-matched merge.
+# sigmoid(t) ~ Phi(_PROBIT * t); the scale matches the slope 1/4 at t = 0.
+_PROBIT = math.sqrt(math.pi / 8.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-    These depend only on the pair's relative weights, so they survive
-    any uniform rescaling of the mixture weights.
+
+def _softplus_jensen_gap(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Closed-form estimate of E[softplus(L)] - softplus(mean) for L ~ N(mean, sd^2).
+
+    With sigmoid(t) ~ Phi(c t), softplus(l) ~ l Phi(c l) + phi(c l) / c,
+    whose expectation under N(mean, sd^2) is exact:
+
+        mean Phi(u) + (k / c) phi(u),   k = sqrt(1 + c^2 sd^2),  u = c mean / k
+
+    The gap is the difference between that expression at ``sd`` and at
+    zero spread, so it is exactly 0 for a constant L and never negative.
     """
-    merged = moment_match_merge(a, b)
-    return kld_gauss(a, merged), kld_gauss(b, merged)
+
+    def smoothed(k):
+        u = _PROBIT * mean / k
+        return mean * ndtr(u) + (k / _PROBIT) * _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+
+    with np.errstate(over="ignore"):
+        return smoothed(np.hypot(1.0, _PROBIT * sd)) - smoothed(1.0)
+
+
+def _arkl_exponents(
+    a: ComponentArrays, b: ComponentArrays, merged: ComponentArrays
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge exponents of pairs: D(q_ab || q_a) and D(q_ab || q_b), each less the Jensen gap.
+
+    With p = (w_a q_a + w_b q_b) / w and L = log(w_b q_b / (w_a q_a)),
+
+        D(q_ab || p) = D(q_ab || q_a) - log(w_a / w) - E softplus(L)
+
+    exactly, and the pair bound is the same expression with softplus(E L)
+    in place of E softplus(L).  Lowering both exponents by an estimate
+    of the gap E softplus(L) - softplus(E L) lowers the assembled pair
+    cost by w times that estimate.  Under q_ab, L is Gaussian when the
+    two covariances are equal; otherwise it is a quadratic form, and of
+    two spreads that are exact in the equal case -- the full standard
+    deviation of L and that of the pooled-covariance discriminant -- the
+    smaller is used.  Spreads are formed with ``hypot`` because their
+    squares overflow long before the merge itself does.  The third
+    result flags pairs whose pooled covariance factorizes.
+    """
+    d_a, w_a, z_a = _whiten(merged, a)
+    d_b, w_b, z_b = _whiten(merged, b)
+    # L at x = m_ab + L_ab y: const + slope^T y + y^T curv y / 2, y ~ N(0, I),
+    # so Var L = |slope|^2 + |curv|_F^2 / 2.
+    slope = np.sum(w_a * z_a[:, :, None], axis=1) - np.sum(w_b * z_b[:, :, None], axis=1)
+    curv = np.sum(w_a[:, :, :, None] * w_a[:, :, None, :], axis=1) - np.sum(
+        w_b[:, :, :, None] * w_b[:, :, None, :], axis=1
+    )
+    terms = np.concatenate([slope, curv.reshape(len(slope), -1) * math.sqrt(0.5)], axis=1)
+    sd_full = np.hypot.reduce(terms, axis=1)
+    pa = a.weights / merged.weights
+    pb = b.weights / merged.weights
+    pooled, _, pooled_ok = _cholesky(pa[:, None, None] * a.covs + pb[:, None, None] * b.covs)
+    sep = np.hypot.reduce(_solve_lower(pooled, (b.means - a.means)[:, :, None])[:, :, 0], axis=1)
+    # delta^T S_pool^-1 x under q_ab, whose covariance is S_pool + pa pb delta delta^T,
+    # has variance t (1 + pa pb t) with t = sep^2.
+    with np.errstate(over="ignore"):
+        sd_pooled = sep * np.hypot(1.0, np.sqrt(pa * pb) * sep)
+    mean = np.log(b.weights / a.weights) + d_a - d_b
+    gap = _softplus_jensen_gap(mean, np.minimum(sd_full, sd_pooled))
+    return d_a - gap, d_b - gap, pooled_ok
+
+
+def _merge_kernels(
+    kind: CostKind, a: ComponentArrays, b: ComponentArrays
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight-independent merge kernels (k_a, k_b) of aligned pairs, and a flag per pair.
+
+    ``runnalls``: D(q_a || q_ab) and D(q_b || q_ab) to the moment match
+    q_ab.  ``arkl-simple``: D(q_ab || q_a) and D(q_ab || q_b).  ``arkl``:
+    those less the Jensen-gap estimate of :func:`_arkl_exponents`.  All
+    depend only on the pair's relative weights, so they survive any
+    uniform rescaling of the mixture weights.  The flag is False where
+    the moment match (or, for ``arkl``, the pooled covariance) overflows
+    or fails to factorize; such rows hold NaN.
+    """
+    merged, ok = _moment_match(a, b)
+    if kind is CostKind.RUNNALLS_B:
+        return _whiten(a, merged)[0], _whiten(b, merged)[0], ok
+    if kind is CostKind.ARKL_SIMPLE:
+        return _whiten(merged, a)[0], _whiten(merged, b)[0], ok
+    if kind is CostKind.ARKL_FULL:
+        e_a, e_b, pooled_ok = _arkl_exponents(a, b, merged)
+        return e_a, e_b, ok & pooled_ok
+    raise ValueError(f"no pair kernel for {kind}")
+
+
+def _pair_cost_from_neg_exponents(w_i, w_j, e_i, e_j):
+    """Assemble w log w - w log(w_i exp(-e_i) + w_j exp(-e_j)) stably, elementwise."""
+    w = w_i + w_j
+    return w * np.log(w) - w * np.logaddexp(np.log(w_i) - e_i, np.log(w_j) - e_j)
+
+
+def _pair_costs(kind: CostKind, w_i, w_j, k_a, k_b):
+    """Merge costs from the pair weights and the cached kernels, elementwise."""
+    if kind is CostKind.RUNNALLS_B:
+        return w_i * k_a + w_j * k_b
+    # Both reverse-divergence merge surrogates share the pair-bound shape.
+    return _pair_cost_from_neg_exponents(w_i, w_j, k_a, k_b)
+
+
+def _merge_cost(kind: CostKind, a: GaussianComponent, b: GaussianComponent) -> float:
+    """A batch of one through :func:`_merge_kernels` and :func:`_pair_costs`."""
+    if a.weight + b.weight <= 0.0:
+        raise ValueError("cannot merge a pair with zero total weight")
+    sa, sb = _pair_arrays(a, b)
+    k_a, k_b, ok = _merge_kernels(kind, sa, sb)
+    if not ok[0]:
+        raise np.linalg.LinAlgError("the pair's moment match overflows or fails to factorize")
+    return float(_pair_costs(kind, sa.weights, sb.weights, k_a, k_b)[0])
+
+
+def _kld_matrix(arr: ComponentArrays) -> np.ndarray:
+    """D(q_a || q_b) for every ordered pair of distinct rows; zero diagonal."""
+    n = len(arr)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    out = np.zeros((n, n))
+    out[rows, cols] = _whiten(arr.take(rows), arr.take(cols))[0]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Forward-divergence baseline (Runnalls)
+# ---------------------------------------------------------------------------
 
 
 def runnalls_bound(a: GaussianComponent, b: GaussianComponent) -> float:
@@ -188,8 +334,7 @@ def runnalls_bound(a: GaussianComponent, b: GaussianComponent) -> float:
     B = w_a D(q_a || q_ab) + w_b D(q_b || q_ab) with q_ab the
     moment-matched merge.  Scales linearly with the absolute weights.
     """
-    ka, kb = _runnalls_kernel(a, b)
-    return a.weight * ka + b.weight * kb
+    return _merge_cost(CostKind.RUNNALLS_B, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +357,30 @@ def kld_to_pair_bound(
     )
 
 
+def _crude_prune(w):
+    return -np.log1p(-w)
+
+
 def crude_prune_bound(w: float) -> float:
     """Weight-only upper bound on the reverse divergence of pruning: -log(1 - w)."""
     if not 0.0 < w < 1.0:
         raise ValueError(f"pruned weight must lie strictly between 0 and 1, got {w}")
-    return -math.log1p(-w)
+    return float(_crude_prune(w))
 
 
-def _arkl_prune_terms(weights: np.ndarray, kld_to_pruned: np.ndarray, i0: int) -> np.ndarray:
-    """Prune-cost candidates for every retained component J.
+def _arkl_prune_terms(weights: np.ndarray, kld_to_pruned: np.ndarray, pruned: np.ndarray) -> np.ndarray:
+    """Prune-cost candidates: entry [r, c] prunes component ``pruned[c]`` and retains r.
 
-    ``kld_to_pruned[j]`` holds D(q_j || q_pruned).  Retaining mass on J
-    tightens the crude bound by the J-th correction term; the cost used
-    by the engine is the minimum over J of these candidates.
+    ``kld_to_pruned[r, c]`` holds D(q_r || q_pruned[c]).  Retaining mass
+    on r tightens the crude bound by the r-th correction term; the cost
+    used by the engine is the minimum of column c.  The pruned component
+    itself is no candidate: its entry is +inf.
     """
-    w_i = weights[i0]
-    log_wi = math.log(w_i)
-    others = np.arange(weights.size) != i0
-    w_j = weights[others]
-    corr = np.logaddexp(0.0, log_wi - np.log(w_j) - kld_to_pruned[others])
-    return crude_prune_bound(w_i) - (w_j / (1.0 - w_i)) * corr
+    w_i = weights[pruned]
+    corr = np.logaddexp(0.0, np.log(w_i) - np.log(weights)[:, None] - kld_to_pruned)
+    terms = _crude_prune(w_i) - (weights[:, None] / (1.0 - w_i)) * corr
+    terms[pruned, np.arange(len(pruned))] = np.inf
+    return terms
 
 
 def arkl_prune_cost(m: GaussianMixture, i: int, pairwise_kld: np.ndarray | None = None) -> float:
@@ -253,26 +402,16 @@ def arkl_prune_cost(m: GaussianMixture, i: int, pairwise_kld: np.ndarray | None 
         raise ValueError("prune cost requires at least two components")
     i0 = i - 1
     if pairwise_kld is None:
-        col = np.array(
-            [kld_gauss(c, m.components[i0]) if r != i0 else 0.0 for r, c in enumerate(m.components)]
-        )
+        arr = ComponentArrays.of(m.components)
+        others = np.flatnonzero(np.arange(m.size) != i0)
+        col = np.zeros((m.size, 1))
+        col[others, 0] = _whiten(arr.take(others), arr.take([i0]))[0]
     else:
         pairwise_kld = np.asarray(pairwise_kld, dtype=float)
         if pairwise_kld.shape != (m.size, m.size):
             raise ValueError(f"pairwise_kld must have shape ({m.size}, {m.size}), got {pairwise_kld.shape}")
-        col = pairwise_kld[:, i0]
-    return float(np.min(_arkl_prune_terms(m.weights, col, i0)))
-
-
-def _pair_cost_from_neg_exponents(w_i: float, w_j: float, e_i: float, e_j: float) -> float:
-    """Assemble w log w - w log(w_i exp(-e_i) + w_j exp(-e_j)) stably."""
-    w = w_i + w_j
-    return w * math.log(w) - w * float(np.logaddexp(math.log(w_i) - e_i, math.log(w_j) - e_j))
-
-
-def _simple_merge_kernel(a: GaussianComponent, b: GaussianComponent) -> tuple[float, float]:
-    merged = moment_match_merge(a, b)
-    return kld_gauss(merged, a), kld_gauss(merged, b)
+        col = pairwise_kld[:, [i0]]
+    return float(np.min(_arkl_prune_terms(m.weights, col, np.array([i0]))))
 
 
 def simple_merge_bound(a: GaussianComponent, b: GaussianComponent) -> float:
@@ -284,8 +423,7 @@ def simple_merge_bound(a: GaussianComponent, b: GaussianComponent) -> float:
     growing with the separation and soon exceeds the cost of pruning
     either component outright.
     """
-    e_a, e_b = _simple_merge_kernel(a, b)
-    return _pair_cost_from_neg_exponents(a.weight, b.weight, e_a, e_b)
+    return _merge_cost(CostKind.ARKL_SIMPLE, a, b)
 
 
 def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianComponent) -> float:
@@ -297,15 +435,24 @@ def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianC
 
     The switching factor vanishes at the mean of q_i and tends to 1 far
     from it, so V discounts exactly the region where q_i would cover for
-    q_j.  Assembled from the product decomposition of q_i with q_k, the
-    expected-log identity, and the plain divergence D(q_k || q_j).
-    Unlike a true divergence it may be negative.
+    q_j.  Assembled from the product decomposition q_i q_k = scale * q*,
+    the expected logs of q_k and q_j under q*, and the plain divergence
+    D(q_k || q_j).  Unlike a true divergence it may be negative.
+
+    q* enters only through its moments, so its covariance -- a
+    difference of matrices that need not factorize when q_k is nearly
+    singular -- is never factorized.  E*[log q_k] avoids S_k^-1
+    altogether: with S = S_i + S_k and v = S^-1 (m_i - m_k), it uses
+    tr(S_k^-1 S*) = tr(S^-1 S_i) and m* - m_k = S_k v.
     """
     pd = product_decompose(i, k)
-    star = GaussianComponent(1.0, pd.mean_star, pd.cov_star)
     # (2 pi)^(k/2) |cov_i|^(1/2) N(mean_i; mean_k, cov_k + cov_i), in [0, 1]
     ratio = pd.scale / max_value(i)
-    return kld_gauss(k, j) - ratio * (expected_log(star, k) - expected_log(star, j))
+    sol = np.linalg.solve(i.cov + k.cov, np.column_stack([i.cov, i.mean - k.mean]))
+    v = sol[:, -1]
+    elog_k = -0.5 * (k.dim * _LOG_2PI + k.log_det + float(np.trace(sol[:, :-1])) + float(v @ k.cov @ v))
+    elog_j = _expected_log(pd.mean_star, pd.cov_star, j)
+    return kld_gauss(k, j) - ratio * (elog_k - elog_j)
 
 
 def optimal_split_weight(w_i: float, w_j: float, v_i: float, v_j: float) -> float:
@@ -320,87 +467,12 @@ def optimal_split_weight(w_i: float, w_j: float, v_i: float, v_j: float) -> floa
     return float(np.exp(log_terms[0] - logsumexp(log_terms)))
 
 
-# sigmoid(t) ~ Phi(_PROBIT * t); the scale matches the slope 1/4 at t = 0.
-_PROBIT = math.sqrt(math.pi / 8.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _softplus_jensen_gap(mean: float, sd: float) -> float:
-    """Closed-form estimate of E[softplus(L)] - softplus(mean) for L ~ N(mean, sd^2).
-
-    With sigmoid(t) ~ Phi(c t), softplus(l) ~ l Phi(c l) + phi(c l) / c,
-    whose expectation under N(mean, sd^2) is exact:
-
-        mean Phi(u) + (k / c) phi(u),   k = sqrt(1 + c^2 sd^2),  u = c mean / k
-
-    The gap is the difference between that expression at ``sd`` and at
-    zero spread, so it is exactly 0 for a constant L and never negative.
-    """
-
-    def smoothed(k: float) -> float:
-        u = _PROBIT * mean / k
-        return mean * float(ndtr(u)) + (k / _PROBIT) * _INV_SQRT_2PI * math.exp(-0.5 * u * u)
-
-    return smoothed(math.hypot(1.0, _PROBIT * sd)) - smoothed(1.0)
-
-
-def _whitened_frame(q: GaussianComponent, k: GaussianComponent) -> tuple[float, np.ndarray, np.ndarray]:
-    """D(q || q_k) and q's spread and offset in the whitened frame of q_k.
-
-    Returns (D, W, z) with W = L_k^-1 L_q and z = L_k^-1 (m_q - m_k), so
-    that for x = m_q + L_q y the Mahalanobis term of q_k is |z + W y|^2.
-    D is :func:`kld_gauss`'s closed form, read off the same single solve.
-    """
-    sol = solve_triangular(k.chol, np.column_stack([q.chol, q.mean - k.mean]), lower=True)
-    w, z = sol[:, :-1], sol[:, -1]
-    div = 0.5 * (k.log_det - q.log_det - q.dim + float(np.sum(w * w)) + float(z @ z))
-    return div, w, z
-
-
-def _arkl_merge_kernel(a: GaussianComponent, b: GaussianComponent) -> tuple[float, float]:
-    """Merge exponents of a pair: D(q_ab || q_a) and D(q_ab || q_b), each less the Jensen gap.
-
-    With p = (w_a q_a + w_b q_b) / w and L = log(w_b q_b / (w_a q_a)),
-
-        D(q_ab || p) = D(q_ab || q_a) - log(w_a / w) - E softplus(L)
-
-    exactly, and the pair bound is the same expression with softplus(E L)
-    in place of E softplus(L).  Lowering both exponents by an estimate
-    of the gap E softplus(L) - softplus(E L) lowers the assembled pair
-    cost by w times that estimate.  Under q_ab, L is Gaussian when the
-    two covariances are equal; otherwise it is a quadratic form, and of
-    two spreads that are exact in the equal case -- the full standard
-    deviation of L and that of the pooled-covariance discriminant -- the
-    smaller is used.  One evaluation per side; both depend only on the
-    pair's relative weights.  Spreads are formed with ``hypot`` because
-    their squares overflow long before the merge itself does.
-    """
-    merged = moment_match_merge(a, b)
-    d_a, w_a, z_a = _whitened_frame(merged, a)
-    d_b, w_b, z_b = _whitened_frame(merged, b)
-    # L at x = m_ab + L_ab y: const + slope^T y + y^T curv y / 2, y ~ N(0, I),
-    # so Var L = |slope|^2 + |curv|_F^2 / 2.
-    slope = w_a.T @ z_a - w_b.T @ z_b
-    curv = w_a.T @ w_a - w_b.T @ w_b
-    sd_full = math.hypot(*slope, *(curv.ravel() * math.sqrt(0.5)))
-    pa = a.weight / merged.weight
-    pb = b.weight / merged.weight
-    pooled = np.linalg.cholesky(pa * a.cov + pb * b.cov)
-    sep = math.hypot(*solve_triangular(pooled, b.mean - a.mean, lower=True))
-    # delta^T S_pool^-1 x under q_ab, whose covariance is S_pool + pa pb delta delta^T,
-    # has variance t (1 + pa pb t) with t = sep^2.
-    sd_pooled = sep * math.hypot(1.0, math.sqrt(pa * pb) * sep)
-    mean = math.log(b.weight / a.weight) + d_a - d_b
-    gap = _softplus_jensen_gap(mean, min(sd_full, sd_pooled))
-    return d_a - gap, d_b - gap
-
-
 def arkl_merge_cost(a: GaussianComponent, b: GaussianComponent) -> float:
     """Reverse-divergence surrogate for merging a pair.
 
     Approximates D(w q_ab || w_a q_a + w_b q_b), the merge part of the
     reverse divergence, as the pair bound with the merge exponents of
-    :func:`_arkl_merge_kernel`:
+    :func:`_arkl_exponents`:
 
         w log w - w log( w_a exp(-e_a) + w_b exp(-e_b) )
             = simple_merge_bound(a, b) - w * gap
@@ -414,8 +486,7 @@ def arkl_merge_cost(a: GaussianComponent, b: GaussianComponent) -> float:
     as the squared separation.  When the covariances differ it is an
     approximation with no sign guarantee.
     """
-    e_a, e_b = _arkl_merge_kernel(a, b)
-    return _pair_cost_from_neg_exponents(a.weight, b.weight, e_a, e_b)
+    return _merge_cost(CostKind.ARKL_FULL, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +499,8 @@ def _gram_stats(weights: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, floa
     return s, float(weights @ s)
 
 
-def _prune_ise_from_gram(weights: np.ndarray, gram: np.ndarray, s: np.ndarray, t: float, j0: int) -> float:
-    """ISE between the mixture and its renormalized prune, from cached overlaps."""
+def _prune_ise_from_gram(weights: np.ndarray, gram: np.ndarray, s: np.ndarray, t: float, j0) -> np.ndarray:
+    """ISE between the mixture and its renormalized prunes of ``j0`` (index array), from cached overlaps."""
     w_j = weights[j0]
     c = 1.0 / (1.0 - w_j)
     own = t - 2.0 * w_j * s[j0] + w_j * w_j * gram[j0, j0]
@@ -437,45 +508,58 @@ def _prune_ise_from_gram(weights: np.ndarray, gram: np.ndarray, s: np.ndarray, t
     return t + c * c * own - 2.0 * c * cross
 
 
-def _merge_ise_from_gram(
-    weights: np.ndarray,
-    gram: np.ndarray,
-    s: np.ndarray,
-    t: float,
-    i0: int,
-    j0: int,
-    u: np.ndarray,
-    u_mm: float,
-) -> float:
-    """ISE between the mixture and its (i0, j0) merge, from cached overlaps.
+def _williams_merge_costs(
+    arr: ComponentArrays, gram: np.ndarray, s: np.ndarray, t: float, i0: np.ndarray, j0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """ISE between the mixture and each of its (i0[p], j0[p]) merges, and a flag per pair.
 
-    ``u`` holds the overlaps of the merged candidate with every current
-    component and ``u_mm`` its self overlap; everything else comes from
-    the Gram matrix of the unmodified mixture.
+    Each candidate's overlaps with the current components are evaluated
+    in one stacked call per component, so memory stays proportional to
+    the number of pairs; everything else comes from the Gram matrix of
+    the unmodified mixture.  A pair whose moment match fails is flagged
+    False and costs +inf.  Costs n + 1 overlaps per flagged-True pair
+    for n components.
     """
-    w_i, w_j = weights[i0], weights[j0]
+    w = arr.weights
+    merged, ok = _moment_match(arr.take(i0), arr.take(j0))
+    cand = merged.take(ok)
+    i0, j0 = i0[ok], j0[ok]
+    u_i = np.empty(len(cand))
+    u_j = np.empty(len(cand))
+    wu = np.zeros(len(cand))
+    for k in range(len(arr)):
+        u = _overlaps(arr.take([k]), cand)
+        wu += w[k] * u
+        at_i, at_j = i0 == k, j0 == k
+        u_i[at_i] = u[at_i]
+        u_j[at_j] = u[at_j]
+    u_mm = _overlaps(cand, cand)
+    w_i, w_j = w[i0], w[j0]
     w_m = w_i + w_j
     survivors_sq = (
         t
         - 2.0 * (w_i * s[i0] + w_j * s[j0])
         + (w_i * w_i * gram[i0, i0] + 2.0 * w_i * w_j * gram[i0, j0] + w_j * w_j * gram[j0, j0])
     )
-    wu = float(weights @ u)
-    wu_surv = wu - w_i * u[i0] - w_j * u[j0]
+    wu_surv = wu - w_i * u_i - w_j * u_j
     q_sq = survivors_sq + 2.0 * w_m * wu_surv + w_m * w_m * u_mm
     pq = (t - w_i * s[i0] - w_j * s[j0]) + w_m * wu
-    return t + q_sq - 2.0 * pq
+    costs = np.full(len(ok), np.inf)
+    costs[ok] = t + q_sq - 2.0 * pq
+    return costs, ok
 
 
-def _williams_ise(m: GaussianMixture, h: Hypothesis, gram: np.ndarray) -> float:
-    weights = m.weights
-    s, t = _gram_stats(weights, gram)
+def _williams_ise(m: GaussianMixture, h: Hypothesis, gram: np.ndarray | None) -> float:
+    arr = ComponentArrays.of(m.components)
+    if gram is None:
+        gram = _overlap_matrix(arr, arr)
+    s, t = _gram_stats(arr.weights, gram)
     if isinstance(h, Prune):
-        return _prune_ise_from_gram(weights, gram, s, t, h.j - 1)
-    merged = moment_match_merge(m.components[h.i - 1], m.components[h.j - 1])
-    u = np.array([gaussian_overlap(c, merged) for c in m.components])
-    u_mm = gaussian_overlap(merged, merged)
-    return _merge_ise_from_gram(weights, gram, s, t, h.i - 1, h.j - 1, u, u_mm)
+        return float(_prune_ise_from_gram(arr.weights, gram, s, t, h.j - 1))
+    costs, ok = _williams_merge_costs(arr, gram, s, t, np.array([h.i - 1]), np.array([h.j - 1]))
+    if not ok[0]:
+        raise np.linalg.LinAlgError("the pair's moment match overflows or fails to factorize")
+    return float(costs[0])
 
 
 def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, cache=None) -> float:
@@ -487,30 +571,14 @@ def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, cache=Non
     Pruning is not part of the Runnalls hypothesis set, so asking for a
     prune cost under it is an error.
     """
+    if not isinstance(h, (Prune, Merge)):
+        raise ValueError(f"unknown hypothesis type: {h!r}")
+    if kind is CostKind.WILLIAMS_ISE:
+        return _williams_ise(m, h, getattr(cache, "gram", None))
     if isinstance(h, Prune):
         if kind is CostKind.RUNNALLS_B:
             raise ValueError("the merge-only Runnalls method assigns no cost to pruning")
         if kind is CostKind.ARKL_SIMPLE:
             return crude_prune_bound(m.components[h.j - 1].weight)
-        if kind is CostKind.ARKL_FULL:
-            table = getattr(cache, "pairwise_kld", None) if cache is not None else None
-            return arkl_prune_cost(m, h.j, table)
-        if kind is CostKind.WILLIAMS_ISE:
-            gram = getattr(cache, "gram", None) if cache is not None else None
-            if gram is None:
-                gram = _overlap_matrix(m.components, m.components)
-            return _williams_ise(m, h, gram)
-    elif isinstance(h, Merge):
-        a, b = m.components[h.i - 1], m.components[h.j - 1]
-        if kind is CostKind.RUNNALLS_B:
-            return runnalls_bound(a, b)
-        if kind is CostKind.ARKL_SIMPLE:
-            return simple_merge_bound(a, b)
-        if kind is CostKind.ARKL_FULL:
-            return arkl_merge_cost(a, b)
-        if kind is CostKind.WILLIAMS_ISE:
-            gram = getattr(cache, "gram", None) if cache is not None else None
-            if gram is None:
-                gram = _overlap_matrix(m.components, m.components)
-            return _williams_ise(m, h, gram)
-    raise ValueError(f"unknown hypothesis type: {h!r}")
+        return arkl_prune_cost(m, h.j, getattr(cache, "pairwise_kld", None))
+    return _merge_cost(kind, m.components[h.i - 1], m.components[h.j - 1])

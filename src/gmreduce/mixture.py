@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .constants import WEIGHT_SUM_ATOL
-from .gauss import GaussianComponent, log_pdf as _component_log_pdf, moment_match_merge
+from .gauss import GaussianComponent, _stacked_components, log_pdf as _component_log_pdf, moment_match_merge
 
 __all__ = [
     "GaussianMixture",
@@ -99,7 +99,7 @@ class GaussianMixture:
         covs = np.asarray(covs, dtype=float)
         if not (len(weights) == len(means) == len(covs)):
             raise ValueError("weights, means and covs must have equal length")
-        return cls(tuple(GaussianComponent(w, m, s) for w, m, s in zip(weights, means, covs)))
+        return cls(_stacked_components(weights, means, covs))
 
     def renormalized(self) -> "GaussianMixture":
         """Rescale weights to sum to exactly 1."""

@@ -12,7 +12,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from . import mixture as mix
 from .constants import QUAD_EPSABS, QUAD_SIGMA_ENVELOPE
@@ -54,6 +53,10 @@ def kld_quad(p: GaussianMixture, q: GaussianMixture, epsabs: float = QUAD_EPSABS
         if dens == 0.0:
             return 0.0
         return dens * (lp - mix.log_pdf(q, pt))
+
+    # Imported on first use: scipy.integrate about doubles the resident
+    # size of importing the package, and only this oracle needs it.
+    from scipy import integrate
 
     breaks = sorted(float(c.mean[0]) for c in p.components + q.components)
     with warnings.catch_warnings(record=True) as caught:

@@ -7,9 +7,12 @@ broken by canonical hypothesis order: prunes before merges, then
 ascending indices; together with the deterministic cost evaluation this
 makes repeated runs bit-identical.
 
-The expensive pairwise statistics are cached across steps in a
-:class:`CostTable`.  What survives a step is exactly the
-weight-independent part of each cost:
+Every pair statistic comes from the batched kernel layer of
+:mod:`gmreduce.costs`: a step hands it the index lists of all the pairs
+it needs and gets every value back from one stacked evaluation, never
+from a Python loop over pairs.  The expensive statistics are cached
+across steps in a :class:`CostTable`.  What survives a step is exactly
+the weight-independent part of each cost:
 
 * divergences between existing components (the full pairwise matrix used
   by the refined prune cost),
@@ -20,17 +23,24 @@ weight-independent part of each cost:
 * the Gram matrix of pairwise overlap integrals for the squared-error
   method.
 
-After every step the weight-dependent cost entries are reassembled from
-those kernels under the renormalized weights; a merge additionally
-computes the new component's row of statistics.  This keeps the
-divergence-based methods at O(N^2) primitive evaluations for a full
-N -> 1 reduction.  The squared-error method re-evaluates each candidate
-merge's overlap vector every step (the candidates change with the
-surviving set), which is O(N^3) per step instead of the O(N^4) of a
-from-scratch evaluation.
+After every step the weight-dependent costs are reassembled from those
+kernels under the renormalized weights, as array expressions over the
+upper triangle; a merge additionally evaluates the new component's row
+of statistics as one batch.  This keeps the divergence-based methods at
+O(N^2) primitive evaluations for a full N -> 1 reduction.  The
+squared-error method re-evaluates every candidate merge's overlaps with
+the surviving components each step (the candidates' mixtures change
+with the surviving set): O(N^3) evaluations per step instead of the
+O(N^4) of a from-scratch evaluation, done as one stacked call per
+component so that memory stays proportional to the number of pairs.
 
-A merge candidate whose moment-matched covariance fails to factorize is
-assigned +inf cost, skipped, and recorded in the trace.
+A merge candidate whose moment match overflows or fails to factorize is
+assigned +inf cost, skipped, and recorded in the trace; the other pairs
+of its batch are unaffected.
+
+:func:`reference_reduce` recomputes every cost from scratch through the
+public per-hypothesis cost functions, which are batches of one over the
+same kernels, so the two engines share one definition of each cost.
 """
 
 from __future__ import annotations
@@ -42,22 +52,27 @@ import numpy as np
 from . import mixture as mix
 from .costs import (
     CostKind,
-    _arkl_merge_kernel,
     _arkl_prune_terms,
+    _crude_prune,
     _gram_stats,
-    _ise_from_overlaps,
-    _merge_ise_from_gram,
-    _pair_cost_from_neg_exponents,
+    _kld_matrix,
+    _merge_kernels,
+    _overlaps,
+    _pair_costs,
     _prune_ise_from_gram,
-    _runnalls_kernel,
-    _simple_merge_kernel,
-    arkl_prune_cost,
-    crude_prune_bound,
-    gaussian_overlap,
-    kld_gauss,
-    switched_divergence,  # unused here; kept as a module attribute for call tracers
+    _williams_merge_costs,
+    arkl_prune_cost,  # noqa: F401 -- kept importable here for call tracers
+    gaussian_overlap,  # noqa: F401 -- kept importable here for call tracers
+    hypothesis_cost,
+    ise_analytic,
+    kld_gauss,  # noqa: F401 -- kept importable here for call tracers
+    switched_divergence,  # noqa: F401 -- kept importable here for call tracers
 )
-from .gauss import GaussianComponent, moment_match_merge
+from .gauss import (
+    ComponentArrays,
+    _whiten,
+    moment_match_merge,  # noqa: F401 -- kept importable here for call tracers
+)
 from .mixture import GaussianMixture, Hypothesis, Merge, Prune, enumerate_hypotheses
 
 __all__ = [
@@ -79,9 +94,10 @@ class EvalCounter:
 
     One unit per plain Gaussian divergence, per overlap integral, and
     per merge exponent of the full reverse-divergence method (tallied as
-    ``switched``, one per side of a pair).  Reassembling cached kernels
-    under new weights is ordinary arithmetic and is deliberately not
-    counted.
+    ``switched``, one per side of a pair).  The units are logical: a
+    stacked kernel call over P pairs bills P units per statistic.
+    Reassembling cached kernels under new weights is ordinary arithmetic
+    and is deliberately not counted.
     """
 
     kld: int = 0
@@ -93,16 +109,13 @@ class EvalCounter:
         return self.kld + self.overlap + self.switched
 
 
-def _counted_kld(counter: EvalCounter | None, a: GaussianComponent, b: GaussianComponent) -> float:
+def _bill(counter: EvalCounter | None, field: str, count: int) -> None:
     if counter is not None:
-        counter.kld += 1
-    return kld_gauss(a, b)
+        setattr(counter, field, getattr(counter, field) + count)
 
 
-def _counted_overlap(counter: EvalCounter | None, a: GaussianComponent, b: GaussianComponent) -> float:
-    if counter is not None:
-        counter.overlap += 1
-    return gaussian_overlap(a, b)
+# The counter field each method's merge kernel bills, two per pair.
+_KERNEL_FIELD = {CostKind.RUNNALLS_B: "kld", CostKind.ARKL_SIMPLE: "kld", CostKind.ARKL_FULL: "switched"}
 
 
 @dataclass(eq=False)
@@ -141,85 +154,57 @@ class CostTable:
         return self.pair_cost.shape[0]
 
 
-# Per method: the cost module's pair kernel and the counter field it bills.
-_PAIR_KERNELS = {
-    CostKind.RUNNALLS_B: (_runnalls_kernel, "kld"),
-    CostKind.ARKL_SIMPLE: (_simple_merge_kernel, "kld"),
-    CostKind.ARKL_FULL: (_arkl_merge_kernel, "switched"),
-}
+def _fill_pair_kernels(
+    table: CostTable, arr: ComponentArrays, i0: np.ndarray, j0: np.ndarray, counter: EvalCounter | None
+) -> None:
+    """Evaluate the merge kernels of pairs (i0[p], j0[p]), i0 < j0, as one batch.
 
-
-def _pair_kernel(
-    kind: CostKind, a: GaussianComponent, b: GaussianComponent, counter: EvalCounter | None
-) -> tuple[float, float]:
-    """Weight-independent merge kernel for one (a, b) pair, a before b.
-
-    Two evaluations per pair, one per side, billed only when the pair's
-    moment match factorizes.
+    Two evaluations per pair, billed only when the pair's moment match
+    factorizes; the other pairs are marked degenerate and recorded.
     """
-    if kind not in _PAIR_KERNELS:
-        raise ValueError(f"no pair kernel for {kind}")
-    kernel, field = _PAIR_KERNELS[kind]
-    k_a, k_b = kernel(a, b)
-    if counter is not None:
-        setattr(counter, field, getattr(counter, field) + 2)
-    return k_a, k_b
-
-
-def _assemble_pair_cost(kind: CostKind, w_i: float, w_j: float, k_a: float, k_b: float) -> float:
-    if kind is CostKind.RUNNALLS_B:
-        return w_i * k_a + w_j * k_b
-    # Both reverse-divergence merge surrogates share the pair-bound shape.
-    return _pair_cost_from_neg_exponents(w_i, w_j, k_a, k_b)
+    k_a, k_b, ok = _merge_kernels(table.kind, arr.take(i0), arr.take(j0))
+    table.kernel_a[i0, j0] = k_a
+    table.kernel_b[i0, j0] = k_b
+    bad_i, bad_j = i0[~ok], j0[~ok]
+    table.degenerate[bad_i, bad_j] = True
+    table.new_degenerate.extend(Merge(int(i) + 1, int(j) + 1) for i, j in zip(bad_i, bad_j))
+    _bill(counter, _KERNEL_FIELD[table.kind], 2 * int(np.count_nonzero(ok)))
 
 
 def _refresh_weighted(table: CostTable, m: GaussianMixture) -> None:
     """Reassemble all weight-dependent entries from cached kernels."""
     n = m.size
     w = m.weights
-    for i0 in range(n):
-        for j0 in range(i0 + 1, n):
-            if table.degenerate[i0, j0]:
-                table.pair_cost[i0, j0] = np.inf
-            else:
-                table.pair_cost[i0, j0] = _assemble_pair_cost(
-                    table.kind, w[i0], w[j0], table.kernel_a[i0, j0], table.kernel_b[i0, j0]
-                )
+    iu, ju = np.triu_indices(n, k=1)
+    live = ~table.degenerate[iu, ju]
+    iu, ju = iu[live], ju[live]
+    kernels = table.kernel_a[iu, ju], table.kernel_b[iu, ju]
+    table.pair_cost[iu, ju] = _pair_costs(table.kind, w[iu], w[ju], *kernels)
     if table.kind is CostKind.ARKL_SIMPLE:
-        for j0 in range(n):
-            table.prune_cost[j0] = crude_prune_bound(w[j0])
+        table.prune_cost[:] = _crude_prune(w)
     elif table.kind is CostKind.ARKL_FULL:
-        for j0 in range(n):
-            table.prune_cost[j0] = arkl_prune_cost(m, j0 + 1, table.pairwise_kld)
+        table.prune_cost[:] = _arkl_prune_terms(w, table.pairwise_kld, np.arange(n)).min(axis=0)
 
 
-def _refresh_williams(table: CostTable, m: GaussianMixture, counter: EvalCounter | None) -> None:
+def _refresh_williams(table: CostTable, arr: ComponentArrays, counter: EvalCounter | None) -> None:
     """Re-evaluate all squared-error costs from the cached Gram matrix.
 
-    Every candidate merge needs its overlap vector against the current
-    components, so this costs O(N) evaluations per merge hypothesis.
+    Every candidate merge needs its overlaps with the current
+    components: n + 1 evaluations per live pair of n components.
     """
-    n = m.size
-    w = m.weights
-    gram = table.gram
-    s, t = _gram_stats(w, gram)
-    for j0 in range(n):
-        table.prune_cost[j0] = _prune_ise_from_gram(w, gram, s, t, j0)
-    for i0 in range(n):
-        for j0 in range(i0 + 1, n):
-            if table.degenerate[i0, j0]:
-                table.pair_cost[i0, j0] = np.inf
-                continue
-            try:
-                merged = moment_match_merge(m.components[i0], m.components[j0])
-            except np.linalg.LinAlgError:
-                table.degenerate[i0, j0] = True
-                table.new_degenerate.append(Merge(i0 + 1, j0 + 1))
-                table.pair_cost[i0, j0] = np.inf
-                continue
-            u = np.array([_counted_overlap(counter, c, merged) for c in m.components])
-            u_mm = _counted_overlap(counter, merged, merged)
-            table.pair_cost[i0, j0] = _merge_ise_from_gram(w, gram, s, t, i0, j0, u, u_mm)
+    n = len(arr)
+    w = arr.weights
+    s, t = _gram_stats(w, table.gram)
+    table.prune_cost[:] = _prune_ise_from_gram(w, table.gram, s, t, np.arange(n))
+    iu, ju = np.triu_indices(n, k=1)
+    live = ~table.degenerate[iu, ju]
+    iu, ju = iu[live], ju[live]
+    costs, ok = _williams_merge_costs(arr, table.gram, s, t, iu, ju)
+    _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
+    table.pair_cost[iu, ju] = costs
+    bad_i, bad_j = iu[~ok], ju[~ok]
+    table.degenerate[bad_i, bad_j] = True
+    table.new_degenerate.extend(Merge(int(i) + 1, int(j) + 1) for i, j in zip(bad_i, bad_j))
 
 
 def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | None = None) -> CostTable:
@@ -227,44 +212,32 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
     if not isinstance(kind, CostKind):
         raise ValueError(f"kind must be a CostKind, got {kind!r}")
     n = m.size
-    comps = m.components
+    arr = ComponentArrays.of(m.components)
     pair_cost = np.full((n, n), np.inf)
     degenerate = np.zeros((n, n), dtype=bool)
     if kind is CostKind.WILLIAMS_ISE:
+        gi, gj = np.triu_indices(n)
         gram = np.empty((n, n))
-        for i0 in range(n):
-            for j0 in range(i0, n):
-                gram[i0, j0] = gram[j0, i0] = _counted_overlap(counter, comps[i0], comps[j0])
+        gram[gi, gj] = gram[gj, gi] = _overlaps(arr.take(gi), arr.take(gj))
+        _bill(counter, "overlap", gi.size)
         table = CostTable(kind, pair_cost, np.full(n, np.inf), None, gram, None, None, degenerate)
-        _refresh_williams(table, m, counter)
+        _refresh_williams(table, arr, counter)
         return table
-    kernel_a = np.full((n, n), np.nan)
-    kernel_b = np.full((n, n), np.nan)
-    discovered = []
-    for i0 in range(n):
-        for j0 in range(i0 + 1, n):
-            try:
-                kernel_a[i0, j0], kernel_b[i0, j0] = _pair_kernel(kind, comps[i0], comps[j0], counter)
-            except np.linalg.LinAlgError:
-                degenerate[i0, j0] = True
-                discovered.append(Merge(i0 + 1, j0 + 1))
     pairwise_kld = None
     if kind is CostKind.ARKL_FULL:
-        pairwise_kld = np.zeros((n, n))
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    pairwise_kld[a, b] = _counted_kld(counter, comps[a], comps[b])
+        pairwise_kld = _kld_matrix(arr)
+        _bill(counter, "kld", n * (n - 1))
     prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n, np.inf)
-    table = CostTable(
-        kind, pair_cost, prune_cost, pairwise_kld, None, kernel_a, kernel_b, degenerate, discovered
-    )
+    kernel_a, kernel_b = np.full((n, n), np.nan), np.full((n, n), np.nan)
+    table = CostTable(kind, pair_cost, prune_cost, pairwise_kld, None, kernel_a, kernel_b, degenerate)
+    _fill_pair_kernels(table, arr, *np.triu_indices(n, k=1), counter)
     _refresh_weighted(table, m)
     return table
 
 
 def _delete_rc(arr: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
-    return np.delete(np.delete(arr, idx, axis=0), idx, axis=1)
+    keep = np.delete(np.arange(arr.shape[0]), idx)
+    return arr[np.ix_(keep, keep)]
 
 
 def _insert_rc(arr: np.ndarray, pos: int, fill) -> np.ndarray:
@@ -280,7 +253,7 @@ def update_cost_table(
     ``m_after`` is the mixture the applied hypothesis produced.  Returns
     a new table; the input is not modified.  Surviving kernels, pairwise
     divergences and Gram entries are carried over, and only statistics
-    involving a newly merged component are evaluated.
+    involving a newly merged component are evaluated, as one batch each.
     """
     kind = table.kind
     if isinstance(applied, Prune):
@@ -293,52 +266,39 @@ def update_cost_table(
         raise ValueError(f"unknown hypothesis type: {applied!r}")
 
     n_after = m_after.size
-    discovered = []
-    pair_cost = np.full((n_after, n_after), np.inf)
+    arr = ComponentArrays.of(m_after.components)
     degenerate = _delete_rc(table.degenerate, drop)
     pairwise_kld = None if table.pairwise_kld is None else _delete_rc(table.pairwise_kld, drop)
     gram = None if table.gram is None else _delete_rc(table.gram, drop)
     kernel_a = None if table.kernel_a is None else _delete_rc(table.kernel_a, drop)
     kernel_b = None if table.kernel_b is None else _delete_rc(table.kernel_b, drop)
-
     if insert_at is not None:
-        merged = m_after.components[insert_at]
         degenerate = _insert_rc(degenerate, insert_at, False)
+        others = np.flatnonzero(np.arange(n_after) != insert_at)
+        merged = arr.take([insert_at])
         if gram is not None:
             gram = _insert_rc(gram, insert_at, 0.0)
-            for idx, c in enumerate(m_after.components):
-                gram[insert_at, idx] = gram[idx, insert_at] = _counted_overlap(
-                    counter, c if idx != insert_at else merged, merged
-                )
+            gram[insert_at, :] = gram[:, insert_at] = _overlaps(arr, merged)
+            _bill(counter, "overlap", n_after)
         if pairwise_kld is not None:
             pairwise_kld = _insert_rc(pairwise_kld, insert_at, 0.0)
-            for idx, c in enumerate(m_after.components):
-                if idx != insert_at:
-                    pairwise_kld[idx, insert_at] = _counted_kld(counter, c, merged)
-                    pairwise_kld[insert_at, idx] = _counted_kld(counter, merged, c)
+            pairwise_kld[others, insert_at] = _whiten(arr.take(others), merged)[0]
+            pairwise_kld[insert_at, others] = _whiten(merged, arr.take(others))[0]
+            _bill(counter, "kld", 2 * others.size)
         if kernel_a is not None:
             kernel_a = _insert_rc(kernel_a, insert_at, np.nan)
             kernel_b = _insert_rc(kernel_b, insert_at, np.nan)
-            for idx, c in enumerate(m_after.components):
-                if idx == insert_at:
-                    continue
-                lo, hi = min(idx, insert_at), max(idx, insert_at)
-                first = m_after.components[lo]
-                second = m_after.components[hi]
-                try:
-                    kernel_a[lo, hi], kernel_b[lo, hi] = _pair_kernel(kind, first, second, counter)
-                except np.linalg.LinAlgError:
-                    degenerate[lo, hi] = True
-                    discovered.append(Merge(lo + 1, hi + 1))
 
+    pair_cost = np.full((n_after, n_after), np.inf)
     prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n_after, np.inf)
-    new_table = CostTable(
-        kind, pair_cost, prune_cost, pairwise_kld, gram, kernel_a, kernel_b, degenerate, discovered
-    )
+    new_table = CostTable(kind, pair_cost, prune_cost, pairwise_kld, gram, kernel_a, kernel_b, degenerate)
     if kind is CostKind.WILLIAMS_ISE:
-        _refresh_williams(new_table, m_after, counter)
-    else:
-        _refresh_weighted(new_table, m_after)
+        _refresh_williams(new_table, arr, counter)
+        return new_table
+    if insert_at is not None:
+        lo, hi = np.minimum(others, insert_at), np.maximum(others, insert_at)
+        _fill_pair_kernels(new_table, arr, lo, hi, counter)
+    _refresh_weighted(new_table, m_after)
     return new_table
 
 
@@ -384,6 +344,16 @@ def _costs_in_canonical_order(table: CostTable) -> np.ndarray:
     return np.concatenate([table.prune_cost, merge_costs])
 
 
+def _hypothesis_at(table: CostTable, pos: int) -> Hypothesis:
+    """The hypothesis at ``pos`` of :func:`_costs_in_canonical_order`."""
+    if table.prune_cost is not None:
+        if pos < table.size:
+            return Prune(pos + 1)
+        pos -= table.size
+    iu, ju = np.triu_indices(table.size, k=1)
+    return Merge(int(iu[pos]) + 1, int(ju[pos]) + 1)
+
+
 def reduce(
     m: GaussianMixture, target: int, kind: CostKind, record_all_costs: bool = False
 ) -> tuple[GaussianMixture, ReductionTrace]:
@@ -414,17 +384,18 @@ def reduce(
         else:
             table = update_cost_table(table, cur, pending, counter)
         skipped.extend((len(steps), h) for h in table.new_degenerate)
-        hyps = enumerate_hypotheses(cur, kind.include_pruning)
         costs_arr = _costs_in_canonical_order(table)
         pick = int(np.argmin(costs_arr))
         cost = float(costs_arr[pick])
         if not np.isfinite(cost):
             raise np.linalg.LinAlgError("every admissible hypothesis is degenerate")
-        chosen = hyps[pick]
+        chosen = _hypothesis_at(table, pick)
+        all_costs = None
+        if record_all_costs:
+            all_costs = dict(zip(enumerate_hypotheses(cur, kind.include_pruning), costs_arr.tolist()))
         cur = mix.apply(cur, chosen)
         pending = chosen
         flags = ("negative_cost",) if cost < 0.0 else ()
-        all_costs = dict(zip(hyps, costs_arr.tolist())) if record_all_costs else None
         steps.append(TraceStep(chosen, cost, cur.size, flags, all_costs))
         per_step.append(counter.total - evals_before)
     trace = ReductionTrace(kind, tuple(steps), counter.total, tuple(per_step), tuple(skipped))
@@ -434,49 +405,29 @@ def reduce(
 def _naive_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, counter: EvalCounter | None) -> float:
     """From-scratch cost of one hypothesis, counting every evaluation.
 
-    Mirrors the public per-hypothesis cost functions through the same
-    assembly helpers, so values agree with the cached engine bit for bit
-    wherever the inputs do.
+    Goes through the public per-hypothesis cost functions, which are
+    batches of one over the kernels the cached engine uses, so values
+    agree with it bit for bit wherever the inputs do.  A degenerate
+    merge costs +inf and is not billed.
     """
+    n = m.size
     if kind is CostKind.WILLIAMS_ISE:
         try:
             q = mix.apply(m, h)
         except np.linalg.LinAlgError:
             return np.inf
-        n, nq = m.size, q.size
-        gpp = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                gpp[a, b] = _counted_overlap(counter, m.components[a], m.components[b])
-        gqq = np.empty((nq, nq))
-        for a in range(nq):
-            for b in range(nq):
-                gqq[a, b] = _counted_overlap(counter, q.components[a], q.components[b])
-        gpq = np.empty((n, nq))
-        for a in range(n):
-            for b in range(nq):
-                gpq[a, b] = _counted_overlap(counter, m.components[a], q.components[b])
-        return _ise_from_overlaps(m.weights, q.weights, gpp, gqq, gpq)
-    if isinstance(h, Prune):
-        w = m.weights
-        if kind is CostKind.ARKL_SIMPLE:
-            return crude_prune_bound(w[h.j - 1])
-        if kind is CostKind.ARKL_FULL:
-            i0 = h.j - 1
-            col = np.array(
-                [
-                    _counted_kld(counter, c, m.components[i0]) if r != i0 else 0.0
-                    for r, c in enumerate(m.components)
-                ]
-            )
-            return float(np.min(_arkl_prune_terms(w, col, i0)))
-        raise ValueError(f"no prune cost under {kind}")
-    a, b = m.components[h.i - 1], m.components[h.j - 1]
+        # All three Gram matrices in full: n^2 + nq^2 + n nq overlaps.
+        _bill(counter, "overlap", n * n + q.size * q.size + n * q.size)
+        return ise_analytic(m, q)
     try:
-        k_a, k_b = _pair_kernel(kind, a, b, counter)
+        cost = hypothesis_cost(m, h, kind)
     except np.linalg.LinAlgError:
         return np.inf
-    return _assemble_pair_cost(kind, a.weight, b.weight, k_a, k_b)
+    if isinstance(h, Merge):
+        _bill(counter, _KERNEL_FIELD[kind], 2)
+    elif kind is CostKind.ARKL_FULL:
+        _bill(counter, "kld", n - 1)
+    return cost
 
 
 def reference_reduce(

@@ -1,6 +1,7 @@
 """Cost surrogates, bounds and divergence estimators against oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,11 +28,21 @@ from gmreduce import (
     mc_kld,
     moment_match_merge,
     optimal_split_weight,
+    product_decompose,
     runnalls_bound,
     simple_merge_bound,
     switched_divergence,
 )
-from gmreduce.costs import _arkl_merge_kernel, _pair_cost_from_neg_exponents
+from gmreduce.costs import (
+    _gram_stats,
+    _kld_matrix,
+    _merge_kernels,
+    _overlap_matrix,
+    _overlaps,
+    _pair_cost_from_neg_exponents,
+    _williams_merge_costs,
+)
+from gmreduce.gauss import ComponentArrays, _whiten
 from gmreduce.gauss import log_pdf as g_log_pdf, max_value, pdf as g_pdf
 from gmreduce.quadrature import kld_quad
 
@@ -266,6 +277,86 @@ def test_switched_divergence_matches_quadrature():
         assert abs(got - want) <= 1e-6 * max(abs(want), 1e-9)
 
 
+def _switched_divergence_2d_exact(k, i, j):
+    """V(q_k, q_i, q_j) for 2-D inputs with every matrix step in exact rationals."""
+    F = Fraction
+
+    def mat(a):
+        return [[F(float(x)) for x in row] for row in a]
+
+    def vec(v):
+        return [F(float(x)) for x in v]
+
+    def det(a):
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+    def inv(a):
+        d = det(a)
+        return [[a[1][1] / d, -a[0][1] / d], [-a[1][0] / d, a[0][0] / d]]
+
+    def mul(a, b):
+        return [[sum(a[r][t] * b[t][c] for t in range(2)) for c in range(2)] for r in range(2)]
+
+    def apply(a, v):
+        return [sum(a[r][t] * v[t] for t in range(2)) for r in range(2)]
+
+    def quad(a, v):
+        return sum(v[r] * apply(a, v)[r] for r in range(2))
+
+    def add(a, b, sign=1):
+        return [[a[r][c] + sign * b[r][c] for c in range(2)] for r in range(2)]
+
+    log_2pi = math.log(2.0 * math.pi)
+    s_k, s_i, s_j = mat(k.cov), mat(i.cov), mat(j.cov)
+    m_k, m_i, m_j = vec(k.mean), vec(i.mean), vec(j.mean)
+    s_inv = inv(add(s_i, s_k))
+    delta = [m_k[r] - m_i[r] for r in range(2)]
+    scale = math.exp(-0.5 * (2 * log_2pi + math.log(det(add(s_i, s_k))) + float(quad(s_inv, delta))))
+    gain = mul(s_i, s_inv)
+    mean_star = [m_i[r] + apply(gain, delta)[r] for r in range(2)]
+    cov_star = add(s_i, mul(gain, s_i), -1)
+
+    def elog(s_q, m_q):
+        d = [mean_star[r] - m_q[r] for r in range(2)]
+        s_q_inv = inv(s_q)
+        trace = sum(mul(s_q_inv, cov_star)[r][r] for r in range(2))
+        return -0.5 * (2 * log_2pi + math.log(det(s_q)) + float(trace + quad(s_q_inv, d)))
+
+    s_j_inv = inv(s_j)
+    d_kj = [m_j[r] - m_k[r] for r in range(2)]
+    kld = 0.5 * (
+        math.log(det(s_j)) - math.log(det(s_k)) - 2
+        + float(sum(mul(s_j_inv, s_k)[r][r] for r in range(2)) + quad(s_j_inv, d_kj))
+    )
+    max_i = 1.0 / (2.0 * math.pi * math.sqrt(det(s_i)))
+    return kld - scale / max_i * (elog(s_k, m_k) - elog(s_j, m_j))
+
+
+def test_switched_divergence_near_singular_first_argument():
+    """q* has the covariance S_i - S_i (S_i + S_k)^-1 S_i, formed by
+    subtraction; for a nearly singular q_k it need not factorize, and
+    S_k^-1 amplifies its rounding error.  The divergence must stay finite
+    and accurate.  The reference does every matrix step in exact
+    rationals; the tolerance reflects the condition number 1e14 of S_k."""
+    rng = np.random.default_rng(0)
+    unfactorizable = 0
+    for _ in range(50):
+        rot, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        cov_k = (rot * np.array([1e-14, 1.0])) @ rot.T
+        k = GaussianComponent(0.5, rng.normal(0.0, 1.0, 2), 0.5 * (cov_k + cov_k.T))
+        i = GaussianComponent(0.5, [0.0, 0.0], 100.0 * np.eye(2))
+        j = GaussianComponent(0.5, [0.0, 0.0], np.eye(2))
+        try:
+            np.linalg.cholesky(product_decompose(i, k).cov_star)
+        except np.linalg.LinAlgError:
+            unfactorizable += 1
+        want = _switched_divergence_2d_exact(k, i, j)
+        got = switched_divergence(k, i, j)
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-3 * max(1.0, abs(want))
+    assert unfactorizable > 0
+
+
 def test_optimal_split_weight_minimizes_bound():
     rng = np.random.default_rng(50)
     for _ in range(25):
@@ -297,7 +388,9 @@ def test_arkl_merge_cost_assembly():
         a = random_component(rng, 2, rng.uniform(0.1, 0.6))
         b = random_component(rng, 2, rng.uniform(0.1, 0.4))
         merged = moment_match_merge(a, b)
-        v_a, v_b = _arkl_merge_kernel(a, b)
+        (v_a,), (v_b,), _ = _merge_kernels(
+            CostKind.ARKL_FULL, ComponentArrays.of((a,)), ComponentArrays.of((b,))
+        )
         assert arkl_merge_cost(a, b) == _pair_cost_from_neg_exponents(
             a.weight, b.weight, v_a, v_b
         )
@@ -329,6 +422,35 @@ def test_arkl_merge_cost_finite_up_to_the_overflow_path():
         cost = arkl_merge_cost(a, b)
         assert math.isfinite(cost)
         assert 0.0 < cost < simple_merge_bound(a, b)
+
+
+def test_batched_kernels_match_batch_of_one_bit_for_bit():
+    """Every kernel over all pairs equals its batch-of-one rows exactly."""
+    rng = np.random.default_rng(54)
+    for dim in (1, 2, 4, 8):
+        m = random_mixture(rng, 7, dim)
+        arr = ComponentArrays.of(m.components)
+        iu, ju = np.triu_indices(m.size, k=1)
+        rows, cols = np.nonzero(~np.eye(m.size, dtype=bool))
+        gram = _overlap_matrix(arr, arr)
+        s, t = _gram_stats(arr.weights, gram)
+        batched = {
+            kind: _merge_kernels(kind, arr.take(iu), arr.take(ju))
+            for kind in (CostKind.RUNNALLS_B, CostKind.ARKL_SIMPLE, CostKind.ARKL_FULL)
+        }
+        williams = _williams_merge_costs(arr, gram, s, t, iu, ju)[0]
+        overlaps = _overlaps(arr.take(iu), arr.take(ju))
+        klds = _kld_matrix(arr)
+        for p, (i, j) in enumerate(zip(iu, ju)):
+            a, b = arr.take([i]), arr.take([j])
+            for kind, (k_a, k_b, ok) in batched.items():
+                one_a, one_b, one_ok = _merge_kernels(kind, a, b)
+                assert (one_a[0], one_b[0], one_ok[0]) == (k_a[p], k_b[p], ok[p])
+            one = _williams_merge_costs(arr, gram, s, t, np.array([i]), np.array([j]))[0]
+            assert one[0] == williams[p]
+            assert _overlaps(a, b)[0] == overlaps[p]
+        for i, j in zip(rows, cols):
+            assert _whiten(arr.take([i]), arr.take([j]))[0][0] == klds[i, j]
 
 
 def test_hypothesis_cost_dispatch():

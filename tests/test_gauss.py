@@ -283,6 +283,13 @@ def test_with_weight():
     assert d.weight == 0.25
     assert np.array_equal(d.mean, c.mean)
     assert np.array_equal(d.cov, c.cov)
+    # The validated covariance is not factorized again: the factor is shared.
+    assert np.shares_memory(d.chol, c.chol)
+    assert d.log_det == c.log_det
+    assert not d.chol.flags.writeable
+    for bad in (-0.1, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            c.with_weight(bad)
 
 
 def test_cached_factorization_consistent():

@@ -15,6 +15,7 @@ from gmreduce import (
     build_cost_table,
     cost_eval_count,
     enumerate_hypotheses,
+    hypothesis_cost,
     reduce,
     reference_reduce,
     update_cost_table,
@@ -37,8 +38,7 @@ def _mixtures_equal(a: GaussianMixture, b: GaussianMixture) -> bool:
 def test_incremental_matches_reference():
     """The cached engine replays the from-scratch engine step for step."""
     rng = np.random.default_rng(70)
-    for trial in range(10):
-        dim = 1 + trial % 2
+    for dim in [1 + trial % 2 for trial in range(10)] + [4, 8, 4, 8]:
         m = random_mixture(rng, 5, dim)
         for kind in ALL_KINDS:
             fast, fast_trace = reduce(m, 1, kind)
@@ -56,23 +56,24 @@ def test_incremental_matches_reference():
 
 def test_update_table_matches_fresh_build():
     rng = np.random.default_rng(71)
-    m = random_mixture(rng, 5, 2)
-    for kind in ALL_KINDS:
-        for h in (Prune(2), Merge(1, 3)):
-            if isinstance(h, Prune) and not kind.include_pruning:
-                continue
-            table = build_cost_table(m, kind)
-            after = apply(m, h)
-            updated = update_cost_table(table, after, h)
-            fresh = build_cost_table(after, kind)
-            # A fresh build recomputes kernels from the renormalized
-            # weights, which moves the merged moments by an ulp, so the
-            # match is near-bitwise rather than exact.
-            assert np.allclose(updated.pair_cost, fresh.pair_cost, rtol=1e-10, atol=1e-14)
-            if kind is CostKind.RUNNALLS_B:
-                assert updated.prune_cost is None and fresh.prune_cost is None
-            else:
-                assert np.allclose(updated.prune_cost, fresh.prune_cost, rtol=1e-10, atol=1e-14)
+    for dim in (2, 1, 4, 8):
+        m = random_mixture(rng, 5, dim)
+        for kind in ALL_KINDS:
+            for h in (Prune(2), Merge(1, 3)):
+                if isinstance(h, Prune) and not kind.include_pruning:
+                    continue
+                table = build_cost_table(m, kind)
+                after = apply(m, h)
+                updated = update_cost_table(table, after, h)
+                fresh = build_cost_table(after, kind)
+                # A fresh build recomputes kernels from the renormalized
+                # weights, which moves the merged moments by an ulp, so the
+                # match is near-bitwise rather than exact.
+                assert np.allclose(updated.pair_cost, fresh.pair_cost, rtol=1e-10, atol=1e-14)
+                if kind is CostKind.RUNNALLS_B:
+                    assert updated.prune_cost is None and fresh.prune_cost is None
+                else:
+                    assert np.allclose(updated.prune_cost, fresh.prune_cost, rtol=1e-10, atol=1e-14)
 
 
 def test_reduce_noop_when_target_equals_size():
@@ -148,6 +149,29 @@ def test_degenerate_merge_is_skipped_and_recorded():
         reduce(m, 1, CostKind.RUNNALLS_B)
     with pytest.raises(np.linalg.LinAlgError):
         reference_reduce(m, 1, CostKind.RUNNALLS_B)
+    # In a larger batch only the pairs with the remote component are degenerate.
+    wide = GaussianMixture(
+        (
+            GaussianComponent(0.25, [0.0], [[1.0]]),
+            GaussianComponent(0.25, [1e200], [[1.0]]),
+            GaussianComponent(0.25, [3.0], [[2.0]]),
+            GaussianComponent(0.25, [-2.0], [[0.5]]),
+        )
+    )
+    remote = ((0, Merge(1, 2)), (0, Merge(2, 3)), (0, Merge(2, 4)))
+    for kind in ALL_KINDS:
+        fast, fast_trace = reduce(wide, 3, kind, record_all_costs=True)
+        slow, slow_trace = reference_reduce(wide, 3, kind)
+        assert fast_trace.skipped == slow_trace.skipped == remote
+        assert fast_trace.steps[0].chosen == slow_trace.steps[0].chosen
+        assert _mixtures_equal(fast, slow)
+        for h, cost in fast_trace.steps[0].all_costs.items():
+            if isinstance(h, Merge) and 2 in (h.i, h.j):
+                assert cost == np.inf
+            else:
+                # The reference engine prices each hypothesis this way.
+                assert np.isfinite(cost)
+                assert cost == pytest.approx(hypothesis_cost(wide, h, kind), rel=1e-9, abs=1e-12)
 
 
 def test_eval_counts_are_consistent():
