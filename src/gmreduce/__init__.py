@@ -68,7 +68,6 @@ from .reduction import (
     ReductionTrace,
     TraceStep,
     build_cost_table,
-    cost_eval_count,
     reduce,
     reference_reduce,
     update_cost_table,
@@ -118,7 +117,6 @@ __all__ = [
     "update_cost_table",
     "reduce",
     "reference_reduce",
-    "cost_eval_count",
     "envelope_1d",
     "kld_quad",
     "DISCARDED",

@@ -6,6 +6,10 @@ prune costs reflect the reverse divergence will discard the diffuse
 low-weight components that EM spends on background clutter, and the
 points assigned to them; a merge-only method must keep every point.
 
+Each EM iteration is a fixed number of stacked numpy calls over all
+components; its weighted log-density kernel also gives the final
+responsibilities and reassigns the points of merged pairs.
+
 Labels are 1-based component indices; :data:`DISCARDED` (-1) marks
 points dropped by a prune step.  Ground-truth arrays use the same
 1-based indices with :data:`SPURIOUS` (0) for clutter points.
@@ -13,15 +17,15 @@ points dropped by a prune step.  Ground-truth arrays use the same
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import mixture as mix
 from .costs import CostKind
-from .gauss import GaussianComponent, log_pdf as _component_log_pdf
-from .mixture import GaussianMixture, Merge, Prune
+from .gauss import ComponentArrays, _weighted_log_pdfs
+from .mixture import GaussianMixture, Merge, Prune, _component_log_pdf
 from .reduction import ReductionTrace, reduce
 
 __all__ = [
@@ -177,18 +181,51 @@ def _seed_means(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return means
 
 
-def _factorizable(weight: float, mean: np.ndarray, cov: np.ndarray, eps: float, retries: int):
-    """Build a component, bumping the covariance diagonal on factorization failure.
+def _log_sum_exp(log_terms: np.ndarray) -> np.ndarray:
+    """Log of the row sums of exp(log_terms), shifted by each row's maximum."""
+    top = log_terms.max(axis=1, keepdims=True)
+    return top + np.log(np.sum(np.exp(log_terms - top), axis=1, keepdims=True))
 
-    Returns (component, bumps_applied); raises EMError when the allowed
-    number of bumps is exhausted.
+
+def _lapack_cholesky(covs: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (k, d, d) stack, NaN where a row is refused.
+
+    The LAPACK routine of :meth:`GaussianMixture.from_arrays`, so the
+    returned mixture accepts every row accepted here, with the same
+    factor.  A stack it refuses is tried row by row.
     """
-    dim = mean.size
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        chols = np.full(covs.shape, np.nan)
+        for row, cov in enumerate(covs):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                chols[row] = np.linalg.cholesky(cov)
+        return chols
+
+
+def _factorize(covs: np.ndarray, eps: float, retries: int):
+    """Cholesky factors of a (k, d, d) covariance stack, bumping the rows that fail.
+
+    A row that fails to factorize is re-tried with cov + attempt * eps * I,
+    attempt = 1 .. ``retries``; the rows that succeed are left alone.
+    Returns (covariances with the bumps applied, factors, log
+    determinants, bumps per row); raises EMError when a row still fails
+    after the last retry.
+    """
+    bumped = covs.copy()
+    chols = np.empty(covs.shape)
+    bumps = np.zeros(len(covs), dtype=int)
+    bad = np.arange(len(covs))
+    eye = np.eye(covs.shape[-1])
     for attempt in range(retries + 1):
-        try:
-            return GaussianComponent(weight, mean, cov + attempt * eps * np.eye(dim)), attempt
-        except np.linalg.LinAlgError:
-            continue
+        bumped[bad] = covs[bad] + attempt * eps * eye
+        chols[bad] = _lapack_cholesky(bumped[bad])
+        bumps[bad] = attempt
+        bad = np.flatnonzero(~np.all(np.isfinite(chols), axis=(1, 2)))
+        if bad.size == 0:
+            log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+            return bumped, chols, log_dets, bumps
     raise EMError(f"covariance failed to factorize after {retries} jitter retries")
 
 
@@ -197,13 +234,20 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
 
     Expectation and maximization follow the standard Gaussian mixture
     updates; initialization uses spread-out seeded means with identity
-    covariances scaled to the data variance.  A component that loses all
-    responsibility is re-seeded at a random data point (counted in
-    ``reinit_events``).
+    covariances scaled to the data variance.  Each iteration works on
+    all k components at once: one stacked factorization of the
+    covariances (bumping only the rows that fail, see
+    :func:`_factorize`), one (n, k) matrix of weighted log densities and
+    its log-sum-exp, then one matrix product for the means and one
+    batched product over the centered points for the covariances.  A
+    component that loses all responsibility is re-seeded at a random
+    data point (counted in ``reinit_events``).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise EMError(f"points must be a non-empty 2-D array, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise EMError("points must be finite")
     n, dim = points.shape
     k = cfg.n_clusters
     if n < k:
@@ -216,32 +260,23 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     means = _seed_means(points, k, rng)
     covs = np.tile(var_scale * np.eye(dim), (k, 1, 1))
     weights = np.full(k, 1.0 / k)
+    points_t = np.ascontiguousarray(points.T)
 
     lls: list[float] = []
     perturbed: list[int] = []
     jitter_events = 0
     reinit_events = 0
     converged = False
-    resp = np.full((n, k), 1.0 / k)
     for it in range(cfg.max_iters):
-        comps = []
-        touched = False
-        for c in range(k):
-            comp, bumps = _factorizable(weights[c], means[c], covs[c], eps, cfg.max_jitter_retries)
-            comps.append(comp)
-            if bumps:
-                jitter_events += bumps
-                covs[c] = comp.cov
-                touched = True
-        log_terms = np.empty((n, k))
-        for c, comp in enumerate(comps):
-            log_terms[:, c] = np.log(weights[c]) + _component_log_pdf(comp, points)
-        log_norm = logsumexp(log_terms, axis=1)
+        covs, chols, log_dets, bumps = _factorize(covs, eps, cfg.max_jitter_retries)
+        jitter_events += int(bumps.sum())
+        log_terms = _weighted_log_pdfs(ComponentArrays(weights, means, covs, chols, log_dets), points)
+        log_norm = _log_sum_exp(log_terms)
         total_ll = float(np.sum(log_norm))
         if not np.isfinite(total_ll):
             raise EMError(f"log-likelihood became non-finite at iteration {it}")
-        resp = np.exp(log_terms - log_norm[:, None])
-        if touched:
+        resp = np.exp(log_terms - log_norm)
+        if bumps.any():
             perturbed.append(it)
         lls.append(total_ll)
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol:
@@ -249,34 +284,27 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
             break
         # Maximization.
         counts = resp.sum(axis=0)
-        for c in range(k):
-            if counts[c] < n * 1e-12:
-                means[c] = points[rng.integers(n)]
-                covs[c] = var_scale * np.eye(dim)
-                counts[c] = 1.0
-                reinit_events += 1
-                if not perturbed or perturbed[-1] != it:
-                    perturbed.append(it)
-            else:
-                mu = resp[:, c] @ points / counts[c]
-                centered = points - mu
-                cov = (resp[:, c, None] * centered).T @ centered / counts[c]
-                means[c] = mu
-                covs[c] = 0.5 * (cov + cov.T)
+        dead = np.flatnonzero(counts < n * 1e-12)
+        counts[dead] = 1.0
+        means = resp.T @ points / counts[:, None]
+        centered = points_t - means[:, :, None]
+        covs = (centered * resp.T[:, None]) @ centered.transpose(0, 2, 1) / counts[:, None, None]
+        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+        for c in dead:
+            means[c] = points[rng.integers(n)]
+            covs[c] = var_scale * np.eye(dim)
+        reinit_events += dead.size
+        if dead.size and (not perturbed or perturbed[-1] != it):
+            perturbed.append(it)
         weights = counts / counts.sum()
 
-    final_comps = []
-    for c in range(k):
-        comp, bumps = _factorizable(weights[c], means[c], covs[c], eps, cfg.max_jitter_retries)
-        jitter_events += bumps
-        final_comps.append(comp)
-    mixture = GaussianMixture(tuple(final_comps)).renormalized()
+    covs, _, _, bumps = _factorize(covs, eps, cfg.max_jitter_retries)
+    jitter_events += int(bumps.sum())
+    mixture = GaussianMixture.from_arrays(weights / weights.sum(), means, covs)
     # Responsibilities always correspond to the returned parameters (the
     # loop may have ended on a maximization step).
-    log_terms = np.empty((n, k))
-    for c, comp in enumerate(mixture.components):
-        log_terms[:, c] = np.log(comp.weight) + _component_log_pdf(comp, points)
-    resp = np.exp(log_terms - logsumexp(log_terms, axis=1)[:, None])
+    log_terms = _component_log_pdf(mixture, points)
+    resp = np.exp(log_terms - _log_sum_exp(log_terms))
     return EMFit(
         mixture,
         resp,
@@ -335,9 +363,6 @@ def reduce_and_reassign(
             moved = (labels == h.i) | (labels == h.j)
             labels = np.where(labels > h.j, labels - 1, labels)
             if np.any(moved):
-                log_terms = np.stack(
-                    [np.log(c.weight) + _component_log_pdf(c, points[moved]) for c in nxt.components]
-                )
-                labels[moved] = np.argmax(log_terms, axis=0) + 1
+                labels[moved] = np.argmax(_component_log_pdf(nxt, points[moved]), axis=1) + 1
         cur = nxt
     return reduced, LabeledDataset(points, labels=labels), trace

@@ -240,7 +240,8 @@ def _arkl_exponents(
     deviation of L and that of the pooled-covariance discriminant -- the
     smaller is used.  Spreads are formed with ``hypot`` because their
     squares overflow long before the merge itself does.  The third
-    result flags pairs whose pooled covariance factorizes.
+    result flags pairs whose pooled covariance factorizes and whose
+    exponents are finite.
     """
     d_a, w_a, z_a = _whiten(merged, a)
     d_b, w_b, z_b = _whiten(merged, b)
@@ -262,7 +263,9 @@ def _arkl_exponents(
         sd_pooled = sep * np.hypot(1.0, np.sqrt(pa * pb) * sep)
     mean = np.log(b.weights / a.weights) + d_a - d_b
     gap = _softplus_jensen_gap(mean, np.minimum(sd_full, sd_pooled))
-    return d_a - gap, d_b - gap, pooled_ok
+    e_a, e_b = d_a - gap, d_b - gap
+    # A divergence that overflows leaves the gap at inf - inf.
+    return e_a, e_b, pooled_ok & np.isfinite(e_a) & np.isfinite(e_b)
 
 
 def _merge_kernels(
@@ -276,7 +279,8 @@ def _merge_kernels(
     depend only on the pair's relative weights, so they survive any
     uniform rescaling of the mixture weights.  The flag is False where
     the moment match (or, for ``arkl``, the pooled covariance) overflows
-    or fails to factorize; such rows hold NaN.
+    or fails to factorize, or where an ``arkl`` exponent is not finite;
+    such rows hold NaN or inf.
     """
     merged, ok = _moment_match(a, b)
     if kind is CostKind.RUNNALLS_B:
@@ -310,7 +314,7 @@ def _merge_cost(kind: CostKind, a: GaussianComponent, b: GaussianComponent) -> f
     sa, sb = _pair_arrays(a, b)
     k_a, k_b, ok = _merge_kernels(kind, sa, sb)
     if not ok[0]:
-        raise np.linalg.LinAlgError("the pair's moment match overflows or fails to factorize")
+        raise np.linalg.LinAlgError("the pair's merge kernels overflow or fail to factorize")
     return float(_pair_costs(kind, sa.weights, sb.weights, k_a, k_b)[0])
 
 

@@ -14,12 +14,14 @@ whitened frame, the overlap and the moment match) evaluate every row of
 such a stack in one pass of numpy calls.  :func:`kld_gauss`,
 :func:`product_decompose` and :func:`moment_match_merge` are batches of
 one over them, and :mod:`gmreduce.costs` builds the cost kernels of the
-reduction engines on them.
+reduction engines on them.  One more stacked kernel gives the weighted
+log densities of every component at every point; the mixture density
+and each EM iteration use it.
 
 Positive definiteness is established only by Cholesky factorization;
 there is no silent regularization anywhere.  Callers that need to repair
-a borderline covariance (the EM loop does) must do so explicitly via
-:func:`jitter`.
+a borderline covariance must do so explicitly, as :func:`jitter` and the
+EM loop do.
 """
 
 from __future__ import annotations
@@ -313,6 +315,22 @@ def _overlaps(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
         return np.exp(-0.5 * (offset.shape[1] * _LOG_2PI + log_det + np.sum(z * z, axis=1)))
 
 
+def _weighted_log_pdfs(arr: ComponentArrays, points: np.ndarray) -> np.ndarray:
+    """The (n, P) matrix of log w_p + log q_p(x_i) for (n, k) points.
+
+    Whitens every point with every stacked factor in one forward
+    substitution, z = L_p^-1 (x_i - m_p), and adds
+    log w_p - 1/2 (k log 2 pi + log |S_p| + |z|^2).  A zero weight gives
+    a column of -inf, and a point whose |z|^2 overflows an entry of -inf.
+    """
+    k = points.shape[1]
+    # (P, k, n), contiguous along the points: every stacked pass runs over long rows.
+    z = _solve_lower(arr.chols, np.ascontiguousarray(points.T)[None] - arr.means[:, :, None])
+    with np.errstate(divide="ignore", over="ignore"):
+        const = np.log(arr.weights) - 0.5 * (k * _LOG_2PI + arr.log_dets)
+        return (const[:, None] - 0.5 * np.sum(z * z, axis=1)).T
+
+
 def _merged_moments(wa, ma, sa, wb, mb, sb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Total weight, mean and covariance of the moment matches of stacked weighted pairs.
 
@@ -366,26 +384,13 @@ def _check_same_dim(a: GaussianComponent, b: GaussianComponent):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _half_maha(chol: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis norms of rows of ``delta`` given a Cholesky factor."""
-    z = solve_triangular(chol, delta.T, lower=True)
-    return np.einsum("ij,ij->j", z, z)
-
-
 def log_pdf(c: GaussianComponent, x) -> float | np.ndarray:
     """Log density of ``c`` at ``x``.
 
     ``x`` may be a single point of shape (k,) or a batch of shape (n, k);
     the result is a scalar or an array of shape (n,) accordingly.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != c.dim:
-        raise ValueError(f"point dimension {pts.shape[1]} does not match component dimension {c.dim}")
-    quad = _half_maha(c.chol, pts - c.mean)
-    out = -0.5 * (c.dim * _LOG_2PI + c.log_det + quad)
-    return float(out[0]) if single else out
+    return -0.5 * (c.dim * _LOG_2PI + c.log_det + mahalanobis_sq(c, x))
 
 
 def pdf(c: GaussianComponent, x) -> float | np.ndarray:
@@ -394,13 +399,14 @@ def pdf(c: GaussianComponent, x) -> float | np.ndarray:
 
 
 def mahalanobis_sq(c: GaussianComponent, x) -> float | np.ndarray:
-    """Squared Mahalanobis distance from ``x`` to the component mean."""
+    """Squared Mahalanobis distance from ``x`` to the component mean (shapes as :func:`log_pdf`)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != c.dim:
         raise ValueError(f"point dimension {pts.shape[1]} does not match component dimension {c.dim}")
-    quad = _half_maha(c.chol, pts - c.mean)
+    z = solve_triangular(c.chol, (pts - c.mean).T, lower=True)
+    quad = np.einsum("ij,ij->j", z, z)
     return float(quad[0]) if single else quad
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .constants import WEIGHT_SUM_ATOL
-from .gauss import GaussianComponent, _stacked_components, log_pdf as _component_log_pdf, moment_match_merge
+from .gauss import ComponentArrays, GaussianComponent, _stacked_components, _weighted_log_pdfs, moment_match_merge
 
 __all__ = [
     "GaussianMixture",
@@ -126,12 +126,15 @@ def log_pdf(m: GaussianMixture, x) -> float | np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    terms = np.empty((pts.shape[0], m.size))
-    for i, c in enumerate(m.components):
-        terms[:, i] = _component_log_pdf(c, pts) + np.log(c.weight)
-    out = logsumexp(terms, axis=1)
+    out = logsumexp(_component_log_pdf(m, np.atleast_2d(x)), axis=1)
     return float(out[0]) if single else out
+
+
+def _component_log_pdf(m: GaussianMixture, pts: np.ndarray) -> np.ndarray:
+    """The (n, size) matrix of log w_k + log q_k(x_i) for (n, k) points."""
+    if pts.shape[1] != m.dim:
+        raise ValueError(f"point dimension {pts.shape[1]} does not match mixture dimension {m.dim}")
+    return _weighted_log_pdfs(ComponentArrays.of(m.components), pts)
 
 
 def pdf(m: GaussianMixture, x) -> float | np.ndarray:

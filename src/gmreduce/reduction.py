@@ -34,9 +34,9 @@ with the surviving set): O(N^3) evaluations per step instead of the
 O(N^4) of a from-scratch evaluation, done as one stacked call per
 component so that memory stays proportional to the number of pairs.
 
-A merge candidate whose moment match overflows or fails to factorize is
-assigned +inf cost, skipped, and recorded in the trace; the other pairs
-of its batch are unaffected.
+A merge candidate whose moment match overflows or fails to factorize, or
+whose merge exponents are not finite, is assigned +inf cost, skipped,
+and recorded in the trace; the other pairs of its batch are unaffected.
 
 :func:`reference_reduce` recomputes every cost from scratch through the
 public per-hypothesis cost functions, which are batches of one over the
@@ -84,7 +84,6 @@ __all__ = [
     "update_cost_table",
     "reduce",
     "reference_reduce",
-    "cost_eval_count",
 ]
 
 
@@ -129,7 +128,7 @@ class CostTable:
     refined prune cost; ``gram`` holds pairwise overlap integrals for
     the squared-error method.  ``kernel_a``/``kernel_b`` are the per-pair
     weight-independent merge kernels, and ``degenerate`` marks pairs
-    whose moment match failed to factorize (their cost is pinned at
+    whose merge kernels could not be evaluated (their cost is pinned at
     +inf).
     """
 
@@ -141,34 +140,31 @@ class CostTable:
     kernel_a: np.ndarray | None
     kernel_b: np.ndarray | None
     degenerate: np.ndarray
-    # Pairs first marked degenerate by the build/update call that
-    # produced this table (1-based), for trace bookkeeping.
-    new_degenerate: list | None = None
-
-    def __post_init__(self):
-        if self.new_degenerate is None:
-            self.new_degenerate = []
 
     @property
     def size(self) -> int:
         return self.pair_cost.shape[0]
 
 
+def _merges(i0: np.ndarray, j0: np.ndarray) -> list[Merge]:
+    return [Merge(int(i) + 1, int(j) + 1) for i, j in zip(i0, j0)]
+
+
 def _fill_pair_kernels(
     table: CostTable, arr: ComponentArrays, i0: np.ndarray, j0: np.ndarray, counter: EvalCounter | None
-) -> None:
+) -> list[Merge]:
     """Evaluate the merge kernels of pairs (i0[p], j0[p]), i0 < j0, as one batch.
 
-    Two evaluations per pair, billed only when the pair's moment match
-    factorizes; the other pairs are marked degenerate and recorded.
+    Two evaluations per pair, billed only when the pair's kernels are
+    valid; the other pairs are marked degenerate and returned.
     """
     k_a, k_b, ok = _merge_kernels(table.kind, arr.take(i0), arr.take(j0))
     table.kernel_a[i0, j0] = k_a
     table.kernel_b[i0, j0] = k_b
     bad_i, bad_j = i0[~ok], j0[~ok]
     table.degenerate[bad_i, bad_j] = True
-    table.new_degenerate.extend(Merge(int(i) + 1, int(j) + 1) for i, j in zip(bad_i, bad_j))
     _bill(counter, _KERNEL_FIELD[table.kind], 2 * int(np.count_nonzero(ok)))
+    return _merges(bad_i, bad_j)
 
 
 def _refresh_weighted(table: CostTable, m: GaussianMixture) -> None:
@@ -186,11 +182,12 @@ def _refresh_weighted(table: CostTable, m: GaussianMixture) -> None:
         table.prune_cost[:] = _arkl_prune_terms(w, table.pairwise_kld, np.arange(n)).min(axis=0)
 
 
-def _refresh_williams(table: CostTable, arr: ComponentArrays, counter: EvalCounter | None) -> None:
+def _refresh_williams(table: CostTable, arr: ComponentArrays, counter: EvalCounter | None) -> list[Merge]:
     """Re-evaluate all squared-error costs from the cached Gram matrix.
 
     Every candidate merge needs its overlaps with the current
     components: n + 1 evaluations per live pair of n components.
+    Returns the pairs newly found degenerate.
     """
     n = len(arr)
     w = arr.weights
@@ -204,11 +201,16 @@ def _refresh_williams(table: CostTable, arr: ComponentArrays, counter: EvalCount
     table.pair_cost[iu, ju] = costs
     bad_i, bad_j = iu[~ok], ju[~ok]
     table.degenerate[bad_i, bad_j] = True
-    table.new_degenerate.extend(Merge(int(i) + 1, int(j) + 1) for i, j in zip(bad_i, bad_j))
+    return _merges(bad_i, bad_j)
 
 
-def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | None = None) -> CostTable:
-    """Evaluate all hypothesis costs for ``m`` from scratch."""
+def build_cost_table(
+    m: GaussianMixture, kind: CostKind, counter: EvalCounter | None = None
+) -> tuple[CostTable, list[Merge]]:
+    """Evaluate all hypothesis costs for ``m`` from scratch.
+
+    Returns the table and the merges found degenerate (1-based).
+    """
     if not isinstance(kind, CostKind):
         raise ValueError(f"kind must be a CostKind, got {kind!r}")
     n = m.size
@@ -221,8 +223,7 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
         gram[gi, gj] = gram[gj, gi] = _overlaps(arr.take(gi), arr.take(gj))
         _bill(counter, "overlap", gi.size)
         table = CostTable(kind, pair_cost, np.full(n, np.inf), None, gram, None, None, degenerate)
-        _refresh_williams(table, arr, counter)
-        return table
+        return table, _refresh_williams(table, arr, counter)
     pairwise_kld = None
     if kind is CostKind.ARKL_FULL:
         pairwise_kld = _kld_matrix(arr)
@@ -230,9 +231,9 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
     prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n, np.inf)
     kernel_a, kernel_b = np.full((n, n), np.nan), np.full((n, n), np.nan)
     table = CostTable(kind, pair_cost, prune_cost, pairwise_kld, None, kernel_a, kernel_b, degenerate)
-    _fill_pair_kernels(table, arr, *np.triu_indices(n, k=1), counter)
+    new_degenerate = _fill_pair_kernels(table, arr, *np.triu_indices(n, k=1), counter)
     _refresh_weighted(table, m)
-    return table
+    return table, new_degenerate
 
 
 def _delete_rc(arr: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
@@ -247,11 +248,12 @@ def _insert_rc(arr: np.ndarray, pos: int, fill) -> np.ndarray:
 
 def update_cost_table(
     table: CostTable, m_after: GaussianMixture, applied: Hypothesis, counter: EvalCounter | None = None
-) -> CostTable:
+) -> tuple[CostTable, list[Merge]]:
     """Advance a cost table across one applied hypothesis.
 
     ``m_after`` is the mixture the applied hypothesis produced.  Returns
-    a new table; the input is not modified.  Surviving kernels, pairwise
+    a new table and the merges newly found degenerate (1-based); the
+    input table is not modified.  Surviving kernels, pairwise
     divergences and Gram entries are carried over, and only statistics
     involving a newly merged component are evaluated, as one batch each.
     """
@@ -293,13 +295,13 @@ def update_cost_table(
     prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n_after, np.inf)
     new_table = CostTable(kind, pair_cost, prune_cost, pairwise_kld, gram, kernel_a, kernel_b, degenerate)
     if kind is CostKind.WILLIAMS_ISE:
-        _refresh_williams(new_table, arr, counter)
-        return new_table
+        return new_table, _refresh_williams(new_table, arr, counter)
+    new_degenerate = []
     if insert_at is not None:
         lo, hi = np.minimum(others, insert_at), np.maximum(others, insert_at)
-        _fill_pair_kernels(new_table, arr, lo, hi, counter)
+        new_degenerate = _fill_pair_kernels(new_table, arr, lo, hi, counter)
     _refresh_weighted(new_table, m_after)
-    return new_table
+    return new_table, new_degenerate
 
 
 @dataclass(frozen=True)
@@ -380,10 +382,10 @@ def reduce(
     while cur.size > target:
         evals_before = counter.total
         if table is None:
-            table = build_cost_table(cur, kind, counter)
+            table, degenerate = build_cost_table(cur, kind, counter)
         else:
-            table = update_cost_table(table, cur, pending, counter)
-        skipped.extend((len(steps), h) for h in table.new_degenerate)
+            table, degenerate = update_cost_table(table, cur, pending, counter)
+        skipped.extend((len(steps), h) for h in degenerate)
         costs_arr = _costs_in_canonical_order(table)
         pick = int(np.argmin(costs_arr))
         cost = float(costs_arr[pick])
@@ -468,8 +470,3 @@ def reference_reduce(
         per_step.append(counter.total - evals_before)
     trace = ReductionTrace(kind, tuple(steps), counter.total, tuple(per_step), tuple(skipped))
     return cur, trace
-
-
-def cost_eval_count(trace: ReductionTrace) -> int:
-    """Total pairwise-statistic evaluations recorded in a trace."""
-    return trace.eval_count

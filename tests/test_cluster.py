@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from gmreduce import (
     DISCARDED,
@@ -21,7 +22,7 @@ from gmreduce import (
     reduce_and_reassign,
     six_cluster_mixture,
 )
-from gmreduce.cluster import _factorizable
+from gmreduce.cluster import _factorize, _seed_means
 from gmreduce.mixture import log_pdf as mixture_log_pdf
 
 
@@ -183,13 +184,146 @@ def test_em_identical_points_rescued_by_jitter():
 
 def test_factorizable_jitter_retries():
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    comp, bumps = _factorizable(0.5, np.zeros(2), singular, 0.5, 3)
-    assert bumps == 1
-    assert np.allclose(comp.cov, singular + 0.5 * np.eye(2))
+    covs, chols, _, bumps = _factorize(np.stack([np.eye(2), singular]), 0.5, 3)
+    assert bumps.tolist() == [0, 1]
+    assert np.array_equal(covs[0], np.eye(2))
+    assert np.allclose(covs[1], singular + 0.5 * np.eye(2))
+    assert np.allclose(chols[1] @ chols[1].T, covs[1])
     with pytest.raises(EMError):
-        _factorizable(0.5, np.zeros(2), singular, 0.0, 0)
+        _factorize(singular[None], 0.0, 0)
     with pytest.raises(EMError):
-        _factorizable(0.5, np.zeros(2), singular, 0.0, 3)
+        _factorize(singular[None], 0.0, 3)
+
+
+def _loop_em_fit(points, cfg):
+    """The per-component EM loop that the stacked iteration replaced, kept as an oracle.
+
+    Same seeding, jitter and re-seed rules, written one component at a
+    time with validated components and their own log densities.
+    """
+    n, dim = points.shape
+    k = cfg.n_clusters
+    rng = np.random.default_rng(cfg.seed)
+    var_scale = float(np.mean(np.var(points, axis=0)))
+    if var_scale <= 0.0:
+        var_scale = 1.0
+    eps = cfg.jitter * var_scale
+
+    def factorizable(weight, mean, cov):
+        for attempt in range(cfg.max_jitter_retries + 1):
+            try:
+                return GaussianComponent(weight, mean, cov + attempt * eps * np.eye(dim)), attempt
+            except np.linalg.LinAlgError:
+                continue
+        raise EMError("covariance failed to factorize")
+
+    means = _seed_means(points, k, rng)
+    covs = np.tile(var_scale * np.eye(dim), (k, 1, 1))
+    weights = np.full(k, 1.0 / k)
+    lls, perturbed = [], []
+    jitter_events = reinit_events = 0
+    for it in range(cfg.max_iters):
+        comps = []
+        touched = False
+        for c in range(k):
+            comp, bumps = factorizable(weights[c], means[c], covs[c])
+            comps.append(comp)
+            if bumps:
+                jitter_events += bumps
+                covs[c] = comp.cov
+                touched = True
+        log_terms = np.stack([np.log(weights[c]) + component_log_pdf(comp, points) for c, comp in enumerate(comps)], 1)
+        log_norm = logsumexp(log_terms, axis=1)
+        resp = np.exp(log_terms - log_norm[:, None])
+        if touched:
+            perturbed.append(it)
+        lls.append(float(np.sum(log_norm)))
+        if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol:
+            break
+        counts = resp.sum(axis=0)
+        for c in range(k):
+            if counts[c] < n * 1e-12:
+                means[c] = points[rng.integers(n)]
+                covs[c] = var_scale * np.eye(dim)
+                counts[c] = 1.0
+                reinit_events += 1
+                if not perturbed or perturbed[-1] != it:
+                    perturbed.append(it)
+            else:
+                mu = resp[:, c] @ points / counts[c]
+                centered = points - mu
+                cov = (resp[:, c, None] * centered).T @ centered / counts[c]
+                means[c] = mu
+                covs[c] = 0.5 * (cov + cov.T)
+        weights = counts / counts.sum()
+    final = []
+    for c in range(k):
+        comp, bumps = factorizable(weights[c], means[c], covs[c])
+        jitter_events += bumps
+        final.append(comp)
+    mixture = GaussianMixture(tuple(final)).renormalized()
+    log_terms = np.stack([np.log(c.weight) + component_log_pdf(c, points) for c in mixture.components], 1)
+    resp = np.exp(log_terms - logsumexp(log_terms, axis=1)[:, None])
+    return mixture, resp, lls, jitter_events, reinit_events, perturbed
+
+
+def _assert_matches_loop(points, cfg):
+    fit = em_fit_details(points, cfg)
+    mixture, resp, lls, jitter_events, reinit_events, perturbed = _loop_em_fit(points, cfg)
+    assert np.allclose(fit.log_likelihoods, lls, rtol=1e-9, atol=0.0)
+    for got, want in zip(fit.mixture.components, mixture.components):
+        assert abs(got.weight - want.weight) <= 1e-9
+        assert np.allclose(got.mean, want.mean, rtol=0.0, atol=1e-9)
+        assert np.allclose(got.cov, want.cov, rtol=0.0, atol=1e-9)
+    assert np.allclose(fit.responsibilities, resp, rtol=0.0, atol=1e-9)
+    assert (fit.jitter_events, fit.reinit_events) == (jitter_events, reinit_events)
+    assert fit.perturbed_iterations == tuple(perturbed)
+    return fit
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stacked_em_matches_component_loop(dim):
+    rng = np.random.default_rng(90 + dim)
+    centers = rng.uniform(-6.0, 6.0, size=(4, dim))
+    pts = np.vstack(
+        [c + rng.normal(size=(80, dim)) * rng.uniform(0.3, 1.5, dim) for c in centers]
+        + [rng.uniform(-10.0, 10.0, size=(20, dim))]
+    )
+    fit = _assert_matches_loop(pts, EMConfig(n_clusters=6, max_iters=20, seed=dim))
+    assert len(fit.log_likelihoods) == 20
+
+
+def test_stacked_em_matches_component_loop_on_jitter_and_reseed():
+    # Constant data: every covariance is zero and is bumped on every iteration.
+    fit = _assert_matches_loop(np.ones((20, 2)), EMConfig(n_clusters=2, max_iters=20, seed=0))
+    assert fit.jitter_events > 0 and fit.perturbed_iterations
+    # Five components on five points, two of them equal: components
+    # collapse onto single points and are bumped row by row, and one
+    # loses all responsibility and is re-seeded.
+    pts = np.array([[1.0], [10.0], [11.0], [50.0], [50.0]])
+    fit = _assert_matches_loop(pts, EMConfig(n_clusters=5, max_iters=20, seed=3))
+    assert fit.reinit_events == 1
+    assert fit.jitter_events > 0
+
+
+def test_em_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.zeros((10, 2))
+        pts[3, 1] = bad
+        with pytest.raises(EMError):
+            em_fit_details(pts, EMConfig(n_clusters=2, seed=0))
+
+
+def test_em_is_bit_deterministic():
+    ds = generate_corrupted_data(300, 30, seed=25)
+    cfg = EMConfig(n_clusters=8, max_iters=50, seed=6)
+    a = em_fit_details(ds.points, cfg)
+    b = em_fit_details(ds.points, cfg)
+    assert a.log_likelihoods == b.log_likelihoods
+    assert np.array_equal(a.responsibilities, b.responsibilities)
+    for ca, cb in zip(a.mixture.components, b.mixture.components):
+        assert ca.weight == cb.weight
+        assert np.array_equal(ca.mean, cb.mean) and np.array_equal(ca.cov, cb.cov)
 
 
 def _three_component_fixture():
@@ -316,6 +450,4 @@ def test_component_log_pdf_used_by_em_matches_mixture():
     per = np.stack(
         [np.log(c.weight) + component_log_pdf(c, pts) for c in m.components]
     )
-    from scipy.special import logsumexp
-
     assert np.allclose(logsumexp(per, axis=0), mixture_log_pdf(m, pts), atol=1e-12)

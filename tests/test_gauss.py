@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from conftest import random_component
@@ -22,7 +23,7 @@ from gmreduce import (
     moment_match_merge,
     product_decompose,
 )
-from gmreduce.gauss import log_pdf, pdf
+from gmreduce.gauss import ComponentArrays, _weighted_log_pdfs, log_pdf, pdf
 
 
 def test_log_pdf_matches_scipy():
@@ -47,6 +48,37 @@ def test_pdf_shapes_and_values():
     assert batch.shape == (5,)
     assert np.allclose(batch, np.exp(log_pdf(c, xs)))
     assert isinstance(pdf(c, xs[2]), float)
+
+
+@st.composite
+def _weighted_components_and_points(draw):
+    """Up to four components in d <= 8, condition numbers up to 1e12, weights in [1e-9, 1]."""
+    dim = draw(st.integers(1, 8))
+    size = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = []
+    for _ in range(size):
+        cond = 10.0 ** draw(st.floats(0.0, 12.0))
+        rot, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        scales = np.geomspace(1.0, 1.0 / cond, dim) * 10.0 ** rng.uniform(-2.0, 2.0)
+        cov = (rot * scales) @ rot.T
+        weight = draw(st.floats(1e-9, 1.0))
+        comps.append(GaussianComponent(weight, rng.uniform(-5.0, 5.0, dim), 0.5 * (cov + cov.T)))
+    # Points near the components in their own metric, and points at
+    # unwhitened offsets that are remote along the thin directions.
+    near = [c.mean + rng.normal(size=(3, dim)) @ c.chol.T for c in comps]
+    pts = np.vstack(near + [rng.uniform(-8.0, 8.0, size=(4, dim))])
+    return comps, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_components_and_points())
+def test_stacked_weighted_log_pdfs_match_component_log_pdf(case):
+    comps, pts = case
+    got = _weighted_log_pdfs(ComponentArrays.of(comps), pts)
+    want = np.stack([np.log(c.weight) + log_pdf(c, pts) for c in comps], axis=1)
+    assert got.shape == (len(pts), len(comps))
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
 def test_log_pdf_rejects_wrong_dimension():

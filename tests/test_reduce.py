@@ -12,8 +12,8 @@ from gmreduce import (
     Merge,
     Prune,
     apply,
+    arkl_merge_cost,
     build_cost_table,
-    cost_eval_count,
     enumerate_hypotheses,
     hypothesis_cost,
     reduce,
@@ -62,10 +62,10 @@ def test_update_table_matches_fresh_build():
             for h in (Prune(2), Merge(1, 3)):
                 if isinstance(h, Prune) and not kind.include_pruning:
                     continue
-                table = build_cost_table(m, kind)
+                table, _ = build_cost_table(m, kind)
                 after = apply(m, h)
-                updated = update_cost_table(table, after, h)
-                fresh = build_cost_table(after, kind)
+                updated, _ = update_cost_table(table, after, h)
+                fresh, _ = build_cost_table(after, kind)
                 # A fresh build recomputes kernels from the renormalized
                 # weights, which moves the merged moments by an ulp, so the
                 # match is near-bitwise rather than exact.
@@ -174,13 +174,30 @@ def test_degenerate_merge_is_skipped_and_recorded():
                 assert cost == pytest.approx(hypothesis_cost(wide, h, kind), rel=1e-9, abs=1e-12)
 
 
+def test_arkl_merge_with_overflowing_exponent_is_degenerate():
+    """A narrow component far from its partner factorizes but overflows D(q_ab || q_a)."""
+    a = GaussianComponent(0.5, [0.0], [[1e-20]])
+    b = GaussianComponent(0.5, [1e150], [[1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        arkl_merge_cost(a, b)
+    m = GaussianMixture((a.with_weight(0.4), b.with_weight(0.4), GaussianComponent(0.2, [3.0], [[1.0]])))
+    out, trace = reduce(m, 2, CostKind.ARKL_FULL, record_all_costs=True)
+    ref_out, ref_trace = reference_reduce(m, 2, CostKind.ARKL_FULL)
+    assert trace.skipped == ref_trace.skipped == ((0, Merge(1, 2)),)
+    assert trace.steps[0].chosen == ref_trace.steps[0].chosen == Prune(3)
+    assert trace.steps[0].cost == ref_trace.steps[0].cost
+    assert _mixtures_equal(out, ref_out)
+    costs = trace.steps[0].all_costs
+    assert costs[Merge(1, 2)] == np.inf
+    assert all(np.isfinite(c) for h, c in costs.items() if h != Merge(1, 2))
+
+
 def test_eval_counts_are_consistent():
     rng = np.random.default_rng(75)
     m = random_mixture(rng, 6, 2)
     for kind in ALL_KINDS:
         _, trace = reduce(m, 1, kind)
         assert sum(trace.per_step_eval_counts) == trace.eval_count
-        assert cost_eval_count(trace) == trace.eval_count
         assert len(trace.per_step_eval_counts) == len(trace.steps)
 
 
