@@ -32,9 +32,7 @@ from .costs import (
     gaussian_overlap,
     hypothesis_cost,
     ise_analytic,
-    kld_to_pair_bound,
     mc_kld,
-    optimal_split_weight,
     runnalls_bound,
     simple_merge_bound,
     switched_divergence,
@@ -43,7 +41,6 @@ from .gauss import (
     GaussianComponent,
     ProductDecomposition,
     expected_log,
-    jitter,
     kld_gauss,
     log_pdf,
     mahalanobis_sq,
@@ -86,7 +83,6 @@ __all__ = [
     "max_value",
     "moment_match_merge",
     "mahalanobis_sq",
-    "jitter",
     "GaussianMixture",
     "Prune",
     "Merge",
@@ -101,12 +97,10 @@ __all__ = [
     "ise_analytic",
     "mc_kld",
     "runnalls_bound",
-    "kld_to_pair_bound",
     "crude_prune_bound",
     "arkl_prune_cost",
     "simple_merge_bound",
     "switched_divergence",
-    "optimal_split_weight",
     "arkl_merge_cost",
     "hypothesis_cost",
     "CostTable",

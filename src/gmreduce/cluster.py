@@ -17,14 +17,13 @@ points dropped by a prune step.  Ground-truth arrays use the same
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mixture as mix
 from .costs import CostKind
-from .gauss import ComponentArrays, _weighted_log_pdfs
+from .gauss import ComponentArrays, _cholesky, _log_sum_exp, _weighted_log_pdfs
 from .mixture import GaussianMixture, Merge, Prune, _component_log_pdf
 from .reduction import ReductionTrace, reduce
 
@@ -181,29 +180,6 @@ def _seed_means(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return means
 
 
-def _log_sum_exp(log_terms: np.ndarray) -> np.ndarray:
-    """Log of the row sums of exp(log_terms), shifted by each row's maximum."""
-    top = log_terms.max(axis=1, keepdims=True)
-    return top + np.log(np.sum(np.exp(log_terms - top), axis=1, keepdims=True))
-
-
-def _lapack_cholesky(covs: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a (k, d, d) stack, NaN where a row is refused.
-
-    The LAPACK routine of :meth:`GaussianMixture.from_arrays`, so the
-    returned mixture accepts every row accepted here, with the same
-    factor.  A stack it refuses is tried row by row.
-    """
-    try:
-        return np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        chols = np.full(covs.shape, np.nan)
-        for row, cov in enumerate(covs):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                chols[row] = np.linalg.cholesky(cov)
-        return chols
-
-
 def _factorize(covs: np.ndarray, eps: float, retries: int):
     """Cholesky factors of a (k, d, d) covariance stack, bumping the rows that fail.
 
@@ -215,16 +191,16 @@ def _factorize(covs: np.ndarray, eps: float, retries: int):
     """
     bumped = covs.copy()
     chols = np.empty(covs.shape)
+    log_dets = np.empty(len(covs))
     bumps = np.zeros(len(covs), dtype=int)
     bad = np.arange(len(covs))
     eye = np.eye(covs.shape[-1])
     for attempt in range(retries + 1):
         bumped[bad] = covs[bad] + attempt * eps * eye
-        chols[bad] = _lapack_cholesky(bumped[bad])
+        chols[bad], log_dets[bad], ok = _cholesky(bumped[bad])
         bumps[bad] = attempt
-        bad = np.flatnonzero(~np.all(np.isfinite(chols), axis=(1, 2)))
+        bad = bad[~ok]
         if bad.size == 0:
-            log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
             return bumped, chols, log_dets, bumps
     raise EMError(f"covariance failed to factorize after {retries} jitter retries")
 

@@ -2,8 +2,8 @@
 
 Every magic tolerance used by the package lives here so the choices are
 auditable in one place.  Positive definiteness is never tested against a
-threshold anywhere in the library: a matrix is accepted iff its Cholesky
-factorization succeeds.
+threshold anywhere in the library: a matrix is accepted iff LAPACK
+factorizes it, given finite entries (``gauss._cholesky``).
 """
 
 # Relative symmetry tolerance for covariance matrices accepted by the

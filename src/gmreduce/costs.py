@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import ndtr
 
 from . import mixture as mix
 from .gauss import (
@@ -67,12 +67,10 @@ __all__ = [
     "ise_analytic",
     "mc_kld",
     "runnalls_bound",
-    "kld_to_pair_bound",
     "crude_prune_bound",
     "arkl_prune_cost",
     "simple_merge_bound",
     "switched_divergence",
-    "optimal_split_weight",
     "arkl_merge_cost",
     "hypothesis_cost",
 ]
@@ -346,21 +344,6 @@ def runnalls_bound(a: GaussianComponent, b: GaussianComponent) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kld_to_pair_bound(
-    k: GaussianComponent, i: GaussianComponent, j: GaussianComponent, w_i: float, w_j: float
-) -> float:
-    """Upper bound on the divergence from one Gaussian to a weighted pair.
-
-    Bounds ``D(q_k || w_i q_i + w_j q_j)`` (an unnormalized two-term
-    kernel) by ``-log( w_i exp(-D(q_k||q_i)) + w_j exp(-D(q_k||q_j)) )``.
-    """
-    if w_i <= 0.0 or w_j <= 0.0:
-        raise ValueError("pair weights must be positive")
-    return -float(
-        np.logaddexp(math.log(w_i) - kld_gauss(k, i), math.log(w_j) - kld_gauss(k, j))
-    )
-
-
 def _crude_prune(w):
     return -np.log1p(-w)
 
@@ -387,7 +370,7 @@ def _arkl_prune_terms(weights: np.ndarray, kld_to_pruned: np.ndarray, pruned: np
     return terms
 
 
-def arkl_prune_cost(m: GaussianMixture, i: int, pairwise_kld: np.ndarray | None = None) -> float:
+def arkl_prune_cost(m: GaussianMixture, i: int) -> float:
     """Reverse-divergence surrogate for pruning component ``i`` (1-based).
 
     Refines the crude ``-log(1 - w_i)`` bound with the best single
@@ -395,33 +378,29 @@ def arkl_prune_cost(m: GaussianMixture, i: int, pairwise_kld: np.ndarray | None 
 
         -log(1 - w_i) - (w_j / (1 - w_i)) log(1 + (w_i / w_j) exp(-D(q_j || q_i)))
 
-    ``pairwise_kld`` may supply the full divergence matrix with
-    ``pairwise_kld[a, b] = D(q_(a+1) || q_(b+1))``; it is computed on the
-    fly when omitted.  The minimum is taken over the components actually
-    present, so it must be re-evaluated after every reduction step.
+    The minimum is taken over the components actually present, so it
+    must be re-evaluated after every reduction step.
     """
     if not 1 <= i <= m.size:
         raise ValueError(f"index {i} out of range for mixture of size {m.size} (1-based)")
     if m.size < 2:
         raise ValueError("prune cost requires at least two components")
     i0 = i - 1
-    if pairwise_kld is None:
-        arr = ComponentArrays.of(m.components)
-        others = np.flatnonzero(np.arange(m.size) != i0)
-        col = np.zeros((m.size, 1))
-        col[others, 0] = _whiten(arr.take(others), arr.take([i0]))[0]
-    else:
-        pairwise_kld = np.asarray(pairwise_kld, dtype=float)
-        if pairwise_kld.shape != (m.size, m.size):
-            raise ValueError(f"pairwise_kld must have shape ({m.size}, {m.size}), got {pairwise_kld.shape}")
-        col = pairwise_kld[:, [i0]]
+    arr = ComponentArrays.of(m.components)
+    others = np.flatnonzero(np.arange(m.size) != i0)
+    col = np.zeros((m.size, 1))
+    col[others, 0] = _whiten(arr.take(others), arr.take([i0]))[0]
     return float(np.min(_arkl_prune_terms(m.weights, col, np.array([i0]))))
 
 
 def simple_merge_bound(a: GaussianComponent, b: GaussianComponent) -> float:
     """Merge cost surrogate that plugs plain divergences into the pair bound.
 
-    Applies :func:`kld_to_pair_bound` with q_k the moment-matched merge.
+    With q_ab the moment-matched merge and w = w_a + w_b, the cost is
+
+        w log w - w log( w_a exp(-D(q_ab || q_a)) + w_b exp(-D(q_ab || q_b)) ),
+
+    w times the Jensen bound on D(q_ab || (w_a q_a + w_b q_b) / w).
     A genuine upper bound on the reverse divergence of merging, but far
     looser than the switched version for well-separated pairs: it keeps
     growing with the separation and soon exceeds the cost of pruning
@@ -457,18 +436,6 @@ def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianC
     elog_k = -0.5 * (k.dim * _LOG_2PI + k.log_det + float(np.trace(sol[:, :-1])) + float(v @ k.cov @ v))
     elog_j = _expected_log(pd.mean_star, pd.cov_star, j)
     return kld_gauss(k, j) - ratio * (elog_k - elog_j)
-
-
-def optimal_split_weight(w_i: float, w_j: float, v_i: float, v_j: float) -> float:
-    """Convex split of the merged component's mass that minimizes the pair bound.
-
-    Returns ``w_i exp(-v_i) / (w_i exp(-v_i) + w_j exp(-v_j))``, the
-    weight fraction assigned to the i-side surrogate.
-    """
-    if w_i <= 0.0 or w_j <= 0.0:
-        raise ValueError("weights must be positive")
-    log_terms = np.array([math.log(w_i) - v_i, math.log(w_j) - v_j])
-    return float(np.exp(log_terms[0] - logsumexp(log_terms)))
 
 
 def arkl_merge_cost(a: GaussianComponent, b: GaussianComponent) -> float:
@@ -553,10 +520,9 @@ def _williams_merge_costs(
     return costs, ok
 
 
-def _williams_ise(m: GaussianMixture, h: Hypothesis, gram: np.ndarray | None) -> float:
+def _williams_ise(m: GaussianMixture, h: Hypothesis) -> float:
     arr = ComponentArrays.of(m.components)
-    if gram is None:
-        gram = _overlap_matrix(arr, arr)
+    gram = _overlap_matrix(arr, arr)
     s, t = _gram_stats(arr.weights, gram)
     if isinstance(h, Prune):
         return float(_prune_ise_from_gram(arr.weights, gram, s, t, h.j - 1))
@@ -566,23 +532,21 @@ def _williams_ise(m: GaussianMixture, h: Hypothesis, gram: np.ndarray | None) ->
     return float(costs[0])
 
 
-def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, cache=None) -> float:
+def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind) -> float:
     """Cost assigned to a single hypothesis under the given method.
 
-    ``cache`` may be a cost table from the reduction module (anything
-    exposing ``pairwise_kld`` / ``gram`` arrays for the current
-    mixture); without it the needed statistics are computed on the fly.
-    Pruning is not part of the Runnalls hypothesis set, so asking for a
-    prune cost under it is an error.
+    The statistics it needs are computed from ``m`` on the fly.  Pruning
+    is not part of the Runnalls hypothesis set, so asking for a prune
+    cost under it is an error.
     """
     if not isinstance(h, (Prune, Merge)):
         raise ValueError(f"unknown hypothesis type: {h!r}")
     if kind is CostKind.WILLIAMS_ISE:
-        return _williams_ise(m, h, getattr(cache, "gram", None))
+        return _williams_ise(m, h)
     if isinstance(h, Prune):
         if kind is CostKind.RUNNALLS_B:
             raise ValueError("the merge-only Runnalls method assigns no cost to pruning")
         if kind is CostKind.ARKL_SIMPLE:
             return crude_prune_bound(m.components[h.j - 1].weight)
-        return arkl_prune_cost(m, h.j, getattr(cache, "pairwise_kld", None))
+        return arkl_prune_cost(m, h.j)
     return _merge_cost(kind, m.components[h.i - 1], m.components[h.j - 1])

@@ -12,16 +12,19 @@ holds many components as arrays, and the private stacked kernels here
 (Cholesky factorization, forward substitution, the divergence with its
 whitened frame, the overlap and the moment match) evaluate every row of
 such a stack in one pass of numpy calls.  :func:`kld_gauss`,
-:func:`product_decompose` and :func:`moment_match_merge` are batches of
-one over them, and :mod:`gmreduce.costs` builds the cost kernels of the
-reduction engines on them.  One more stacked kernel gives the weighted
-log densities of every component at every point; the mixture density
-and each EM iteration use it.
+:func:`product_decompose`, :func:`moment_match_merge` and the density
+functions are batches of one over them, and :mod:`gmreduce.costs` builds
+the cost kernels of the reduction engines on them.  One more stacked
+kernel gives the weighted log densities of every component at every
+point, and :func:`_log_sum_exp` sums them; the mixture density and each
+EM iteration use both.
 
-Positive definiteness is established only by Cholesky factorization;
-there is no silent regularization anywhere.  Callers that need to repair
-a borderline covariance must do so explicitly, as :func:`jitter` and the
-EM loop do.
+Positive definiteness is established by one factorization rule,
+:func:`_cholesky`: a covariance is accepted iff its entries are finite
+and LAPACK factorizes it.  Pricing a merge, applying it, building a
+component and fitting EM all go through it, so a merge priced as valid
+is a merge that applies.  There is no silent regularization anywhere;
+the EM loop repairs a borderline covariance explicitly.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .constants import SYMMETRY_RTOL, WEIGHT_EXCESS_ATOL
 
@@ -46,36 +48,18 @@ __all__ = [
     "max_value",
     "moment_match_merge",
     "mahalanobis_sq",
-    "jitter",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _as_mean(mean) -> np.ndarray:
-    mean = np.asarray(mean, dtype=float)
-    if mean.ndim != 1 or mean.size == 0:
-        raise ValueError(f"mean must be a non-empty 1-D vector, got shape {mean.shape}")
-    return mean
-
-
 def _check_weight(weight) -> float:
     weight = float(weight)
-    if not np.isfinite(weight) or weight < 0.0:
+    if not math.isfinite(weight) or weight < 0.0:
         raise ValueError(f"weight must be finite and nonnegative, got {weight}")
     if weight > 1.0 + WEIGHT_EXCESS_ATOL:
         raise ValueError(f"weight must not exceed 1, got {weight}")
     return weight
-
-
-def _as_cov(cov, k: int) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (k, k):
-        raise ValueError(f"cov must have shape ({k}, {k}), got {cov.shape}")
-    asym = np.max(np.abs(cov - cov.T))
-    if asym > SYMMETRY_RTOL * max(1.0, np.max(np.abs(cov))):
-        raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")
-    return cov
 
 
 class GaussianComponent:
@@ -107,12 +91,8 @@ class GaussianComponent:
     # Validation and factorization stay in one method that call tracers
     # (perfbench/layers.py) wrap to count constructions.
     def __post_init__(self, weight, mean, cov):
-        weight = _check_weight(weight)
-        mean, cov = _checked_moments(mean, cov)
-        chol = np.linalg.cholesky(cov)  # LinAlgError if not positive definite
-        block = np.concatenate([mean[None], cov, chol])[None]
-        block.flags.writeable = False
-        _set_state(self, weight, _log_det(chol), block, 0)
+        (c,) = _stacked_components((weight,), (mean,), (cov,))
+        _set_state(self, c.weight, c.log_det, c._block, 0)
 
     @property
     def dim(self) -> int:
@@ -159,15 +139,19 @@ class GaussianComponent:
 
 
 def _checked_moments(mean, cov) -> tuple[np.ndarray, np.ndarray]:
-    mean = _as_mean(mean)
-    cov = _as_cov(cov, mean.size)
-    if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+    mean = np.asarray(mean, dtype=float)
+    if mean.ndim != 1 or mean.size == 0:
+        raise ValueError(f"mean must be a non-empty 1-D vector, got shape {mean.shape}")
+    k = mean.size
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (k, k):
+        raise ValueError(f"cov must have shape ({k}, {k}), got {cov.shape}")
+    asym = np.abs(cov - cov.T).max()
+    if asym > SYMMETRY_RTOL * max(1.0, np.abs(cov).max()):
+        raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("mean and cov must be finite")
     return mean, cov
-
-
-def _log_det(chol: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _set_state(c: GaussianComponent, weight: float, log_det: float, block: np.ndarray, row: int) -> None:
@@ -180,23 +164,26 @@ def _set_state(c: GaussianComponent, weight: float, log_det: float, block: np.nd
 def _stacked_components(weights, means, covs) -> tuple[GaussianComponent, ...]:
     """Validated components whose parameters share one read-only block.
 
-    Each row is checked as :class:`GaussianComponent` checks it, and the
-    covariances are factorized in one stacked call that gives the same
-    factors bit for bit.  A kept mixture then costs one array, not one
-    per component.
+    The one constructor behind :class:`GaussianComponent` and
+    :meth:`GaussianMixture.from_arrays`.  Each row is checked, and the
+    covariances are factorized in one stacked :func:`_cholesky` call;
+    ``LinAlgError`` if a row is refused.  A kept mixture then costs one
+    array, not one per component.
     """
     checked = [(_check_weight(w),) + _checked_moments(m, s) for w, m, s in zip(weights, means, covs)]
     if not checked:
         return ()
     means = np.array([m for _, m, _ in checked])
     covs = np.array([s for _, _, s in checked])
-    chols = np.linalg.cholesky(covs)  # LinAlgError if any is not positive definite
+    chols, log_dets, ok = _cholesky(covs)
+    if not np.all(ok):
+        raise np.linalg.LinAlgError("covariance is not positive definite")
     block = np.concatenate([means[:, None], covs, chols], axis=1)
     block.flags.writeable = False
     comps = []
     for row, (weight, _, _) in enumerate(checked):
         c = object.__new__(GaussianComponent)
-        _set_state(c, weight, _log_det(chols[row]), block, row)
+        _set_state(c, weight, float(log_dets[row]), block, row)
         comps.append(c)
     return tuple(comps)
 
@@ -245,26 +232,27 @@ class ComponentArrays:
 def _cholesky(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower Cholesky factors, log determinants and success flags of a (P, k, k) stack.
 
-    Reads the lower triangle, one column per pass.  A matrix that is not
-    finite or not numerically positive definite gets a NaN factor and
-    log determinant and a False flag instead of an exception, so one bad
-    matrix does not fail its stack.
+    The library's one factorization rule: a matrix is accepted iff its
+    entries are finite and LAPACK factorizes it.  Finiteness is checked
+    here because LAPACK returns NaN or inf factors for non-finite input
+    without complaint.  The stack goes to LAPACK in one call; only if
+    that call refuses are the finite rows retried one at a time.  A
+    refused row gets a NaN factor and log determinant and a False flag
+    instead of an exception, so one bad matrix does not fail its stack.
     """
-    k = covs.shape[-1]
-    chol = np.zeros(covs.shape)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for j in range(k):
-            row = chol[:, j, :j]
-            pivot = np.sqrt(covs[:, j, j] - np.sum(row * row, axis=1))
-            chol[:, j, j] = pivot
-            below = covs[:, j + 1 :, j] - np.sum(chol[:, j + 1 :, :j] * row[:, None, :], axis=2)
-            chol[:, j + 1 :, j] = below / pivot[:, None]
-        diag = np.diagonal(chol, axis1=1, axis2=2)
-        ok = np.all(diag > 0.0, axis=1) & np.all(np.isfinite(chol), axis=(1, 2))
-        log_dets = 2.0 * np.sum(np.log(diag), axis=1)
-    chol[~ok] = np.nan
-    log_dets[~ok] = np.nan
-    return chol, log_dets, ok
+    ok = np.isfinite(covs).all(axis=(1, 2))
+    try:
+        chols = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        chols = np.full(covs.shape, np.nan)
+        for row in np.flatnonzero(ok):
+            try:
+                chols[row] = np.linalg.cholesky(covs[row])
+            except np.linalg.LinAlgError:
+                ok[row] = False
+    chols[~ok] = np.nan
+    log_dets = 2.0 * np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    return chols, log_dets, ok
 
 
 def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -329,6 +317,18 @@ def _weighted_log_pdfs(arr: ComponentArrays, points: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         const = np.log(arr.weights) - 0.5 * (k * _LOG_2PI + arr.log_dets)
         return (const[:, None] - 0.5 * np.sum(z * z, axis=1)).T
+
+
+def _log_sum_exp(log_terms: np.ndarray) -> np.ndarray:
+    """Log of the row sums of exp(log_terms), as an (n, 1) column.
+
+    Each row is shifted by its maximum, so no term overflows; a row that
+    is -inf everywhere gives -inf.
+    """
+    top = log_terms.max(axis=1, keepdims=True)
+    top[np.isneginf(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.sum(np.exp(log_terms - top), axis=1, keepdims=True))
 
 
 def _merged_moments(wa, ma, sa, wb, mb, sb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -405,8 +405,8 @@ def mahalanobis_sq(c: GaussianComponent, x) -> float | np.ndarray:
     pts = np.atleast_2d(x)
     if pts.shape[1] != c.dim:
         raise ValueError(f"point dimension {pts.shape[1]} does not match component dimension {c.dim}")
-    z = solve_triangular(c.chol, (pts - c.mean).T, lower=True)
-    quad = np.einsum("ij,ij->j", z, z)
+    z = _solve_lower(c.chol[None], np.ascontiguousarray((pts - c.mean).T)[None])[0]
+    quad = np.sum(z * z, axis=0)
     return float(quad[0]) if single else quad
 
 
@@ -497,15 +497,3 @@ def moment_match_merge(a: GaussianComponent, b: GaussianComponent) -> GaussianCo
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise np.linalg.LinAlgError("moment-matched merge overflows to non-finite moments")
     return GaussianComponent(total, mean, cov)
-
-
-def jitter(c: GaussianComponent, eps: float) -> GaussianComponent:
-    """Return ``c`` with ``eps`` added to every covariance diagonal entry.
-
-    The library never regularizes on its own; this is the explicit
-    escape hatch for iterative callers whose covariance estimates go
-    numerically singular.
-    """
-    if eps < 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    return GaussianComponent(c.weight, c.mean, c.cov + eps * np.eye(c.dim))

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constants import WEIGHT_SUM_ATOL
-from .gauss import ComponentArrays, GaussianComponent, _stacked_components, _weighted_log_pdfs, moment_match_merge
+from .gauss import ComponentArrays, GaussianComponent, _log_sum_exp, _stacked_components, _weighted_log_pdfs
+from .gauss import moment_match_merge
 
 __all__ = [
     "GaussianMixture",
@@ -126,7 +126,7 @@ def log_pdf(m: GaussianMixture, x) -> float | np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    out = logsumexp(_component_log_pdf(m, np.atleast_2d(x)), axis=1)
+    out = _log_sum_exp(_component_log_pdf(m, np.atleast_2d(x)))[:, 0]
     return float(out[0]) if single else out
 
 

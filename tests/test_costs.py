@@ -24,10 +24,8 @@ from gmreduce import (
     hypothesis_cost,
     ise_analytic,
     kld_gauss,
-    kld_to_pair_bound,
     mc_kld,
     moment_match_merge,
-    optimal_split_weight,
     product_decompose,
     runnalls_bound,
     simple_merge_bound,
@@ -177,31 +175,6 @@ def test_divergence_estimate_validation():
         DivergenceEstimate(1.0, 0.0, -1)
 
 
-def test_kld_to_pair_bound_is_upper_bound():
-    """The log-sum-inequality bound dominates the true integral."""
-    rng = np.random.default_rng(44)
-    for _ in range(20):
-        k = random_component(rng, 1)
-        i = random_component(rng, 1)
-        j = random_component(rng, 1)
-        w_i, w_j = rng.uniform(0.1, 0.9, 2)
-
-        def integrand(x):
-            pt = np.array([x])
-            qk = g_pdf(k, pt)
-            if qk == 0.0:
-                return 0.0
-            pair = w_i * g_pdf(i, pt) + w_j * g_pdf(j, pt)
-            return qk * (g_log_pdf(k, pt) - math.log(pair))
-
-        lo = float(min(k.mean[0], i.mean[0], j.mean[0])) - 14.0
-        hi = float(max(k.mean[0], i.mean[0], j.mean[0])) + 14.0
-        exact, _ = integrate.quad(integrand, lo, hi, epsabs=1e-10, epsrel=0.0, limit=300)
-        assert exact <= kld_to_pair_bound(k, i, j, w_i, w_j) + 1e-7
-    with pytest.raises(ValueError):
-        kld_to_pair_bound(k, i, j, 0.0, 0.5)
-
-
 def test_arkl_prune_cost_worked_value():
     m = GaussianMixture(_pair(w1=0.5, mu=8.0))
     # The correction term is exp(-D) small at this separation.
@@ -218,18 +191,9 @@ def test_arkl_prune_cost_tightens_crude_bound():
             assert refined < crude_prune_bound(m.components[j - 1].weight)
 
 
-def test_arkl_prune_cost_accepts_precomputed_matrix():
+def test_arkl_prune_cost_rejects_bad_index_and_single_component():
     rng = np.random.default_rng(46)
     m = random_mixture(rng, 4, 2)
-    table = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                table[a, b] = kld_gauss(m.components[a], m.components[b])
-    for j in range(1, 5):
-        assert arkl_prune_cost(m, j, table) == arkl_prune_cost(m, j)
-    with pytest.raises(ValueError):
-        arkl_prune_cost(m, 1, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         arkl_prune_cost(m, 5)
     single = GaussianMixture((GaussianComponent(1.0, [0.0], [[1.0]]),))
@@ -355,29 +319,6 @@ def test_switched_divergence_near_singular_first_argument():
         assert math.isfinite(got)
         assert abs(got - want) <= 1e-3 * max(1.0, abs(want))
     assert unfactorizable > 0
-
-
-def test_optimal_split_weight_minimizes_bound():
-    rng = np.random.default_rng(50)
-    for _ in range(25):
-        w_i, w_j = rng.uniform(0.05, 1.0, 2)
-        v_i, v_j = rng.uniform(-0.5, 6.0, 2)
-        alpha = optimal_split_weight(w_i, w_j, v_i, v_j)
-        assert 0.0 < alpha < 1.0
-
-        def bound(a):
-            return (
-                a * (v_i + math.log(a / w_i))
-                + (1.0 - a) * (v_j + math.log((1.0 - a) / w_j))
-            )
-
-        best = bound(alpha)
-        # Closed-form minimum value of the split bound.
-        assert abs(best - -np.logaddexp(math.log(w_i) - v_i, math.log(w_j) - v_j)) < 1e-12
-        for a in np.linspace(0.01, 0.99, 49):
-            assert best <= bound(float(a)) + 1e-12
-    with pytest.raises(ValueError):
-        optimal_split_weight(0.0, 0.5, 1.0, 1.0)
 
 
 def test_arkl_merge_cost_assembly():

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.linalg import solve_triangular
 
 from conftest import random_component
 from gmreduce import (
     GaussianComponent,
     expected_log,
-    jitter,
     kld_gauss,
     mahalanobis_sq,
     max_value,
@@ -76,7 +76,16 @@ def _weighted_components_and_points(draw):
 def test_stacked_weighted_log_pdfs_match_component_log_pdf(case):
     comps, pts = case
     got = _weighted_log_pdfs(ComponentArrays.of(comps), pts)
-    want = np.stack([np.log(c.weight) + log_pdf(c, pts) for c in comps], axis=1)
+    # Independent oracle: LAPACK's triangular solve with each component's factor.
+    want = np.stack(
+        [
+            np.log(c.weight)
+            - 0.5 * (c.dim * math.log(2.0 * math.pi) + c.log_det)
+            - 0.5 * np.sum(solve_triangular(c.chol, (pts - c.mean).T, lower=True) ** 2, axis=0)
+            for c in comps
+        ],
+        axis=1,
+    )
     assert got.shape == (len(pts), len(comps))
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
@@ -272,16 +281,6 @@ def test_moment_match_zero_total_weight():
     a = GaussianComponent(0.0, [0.0], [[1.0]])
     with pytest.raises(ValueError):
         moment_match_merge(a, a)
-
-
-def test_jitter():
-    c = GaussianComponent(0.3, [1.0, -1.0], [[1.0, 0.9], [0.9, 1.0]])
-    j = jitter(c, 0.5)
-    assert j.weight == c.weight
-    assert np.array_equal(j.mean, c.mean)
-    assert np.allclose(j.cov, c.cov + 0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        jitter(c, -1e-9)
 
 
 def test_component_validation():

@@ -20,6 +20,7 @@ from gmreduce import (
     reference_reduce,
     update_cost_table,
 )
+from gmreduce.gauss import ComponentArrays, _moment_match
 
 ALL_KINDS = (CostKind.ARKL_FULL, CostKind.ARKL_SIMPLE, CostKind.RUNNALLS_B, CostKind.WILLIAMS_ISE)
 
@@ -270,3 +271,72 @@ def test_counter_total():
     c = EvalCounter(kld=2, overlap=3, switched=5)
     assert c.total == 10
     assert EvalCounter().total == 0
+
+
+def _near_singular_pairs(draws, seed):
+    """Normalized pairs whose covariances are rank deficient up to a tiny ridge.
+
+    Each draw shares one d x r factor A between two components (rank
+    r < d); with probability 1/2 a component perturbs it by 1e-9 noise.
+    Covariance B B^T 10^U(-2, 2) + 10^U(-19, -13) I, mean A z, weight
+    U(0.1, 0.9).  Draws whose components fail to construct are skipped.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(draws):
+        d = int(rng.integers(2, 5))
+        r = int(rng.integers(1, d))
+        a = rng.normal(size=(d, r))
+        weights, means, covs = [], [], []
+        for _ in range(2):
+            b = a + 1e-9 * rng.normal(size=(d, r)) if rng.uniform() < 0.5 else a
+            cov = b @ b.T * 10.0 ** rng.uniform(-2.0, 2.0) + 10.0 ** rng.uniform(-19.0, -13.0) * np.eye(d)
+            covs.append(0.5 * (cov + cov.T))
+            means.append(a @ rng.normal(size=r))
+            weights.append(rng.uniform(0.1, 0.9))
+        try:
+            pairs.append(GaussianMixture.from_arrays(np.array(weights) / sum(weights), means, covs))
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+    return pairs
+
+
+def _applies(m: GaussianMixture) -> bool:
+    try:
+        apply(m, Merge(1, 2))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def test_a_merge_priced_valid_applies_and_one_priced_degenerate_does_not():
+    """Pricing and applying a merge share one factorization rule.
+
+    On nearly singular pairs the moment match sits at the edge of
+    positive definiteness, where two rules would disagree.
+    """
+    pairs = _near_singular_pairs(4000, 2)
+    priced, applied = [], []
+    for m in pairs:
+        arr = ComponentArrays.of(m.components)
+        priced.append(bool(_moment_match(arr.take([0]), arr.take([1]))[1][0]))
+        applied.append(_applies(m))
+    priced, applied = np.array(priced), np.array(applied)
+    assert len(pairs) > 1500 and applied.any() and not applied.all()
+    assert np.count_nonzero(priced & ~applied) == 0
+    assert np.count_nonzero(~priced & applied) == 0
+
+
+def test_reductions_of_nearly_singular_pairs_agree_with_apply():
+    """A merge ``reduce`` prices as valid applies; one it skips is refused."""
+    pairs = _near_singular_pairs(400, 2)
+    assert {_applies(m) for m in pairs} == {True, False}
+    for m in pairs:
+        if _applies(m):
+            want = apply(m, Merge(1, 2))
+            for engine in (reduce, reference_reduce):
+                assert _mixtures_equal(engine(m, 1, CostKind.RUNNALLS_B)[0], want)
+        else:
+            for engine in (reduce, reference_reduce):
+                with pytest.raises(np.linalg.LinAlgError, match="every admissible hypothesis is degenerate"):
+                    engine(m, 1, CostKind.RUNNALLS_B)
