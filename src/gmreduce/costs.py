@@ -44,11 +44,11 @@ from .gauss import (
     _LOG_2PI,
     ComponentArrays,
     GaussianComponent,
-    _check_same_dim,
     _cholesky,
     _expected_log,
     _moment_match,
     _overlaps,
+    _pair_arrays,
     _solve_lower,
     _whiten,
     expected_log,  # noqa: F401 -- kept importable here for call tracers
@@ -123,12 +123,6 @@ class DisjointSupportError(ArithmeticError):
             f"density underflowed to zero at sample point {self.abscissa.tolist()}; "
             "the divergence is numerically infinite"
         )
-
-
-def _pair_arrays(a: GaussianComponent, b: GaussianComponent) -> tuple[ComponentArrays, ComponentArrays]:
-    """Two one-row stacks: the batch of one behind every scalar pair function."""
-    _check_same_dim(a, b)
-    return ComponentArrays.of((a,)), ComponentArrays.of((b,))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +210,7 @@ def _softplus_jensen_gap(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
         u = _PROBIT * mean / k
         return mean * ndtr(u) + (k / _PROBIT) * _INV_SQRT_2PI * np.exp(-0.5 * u * u)
 
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return smoothed(np.hypot(1.0, _PROBIT * sd)) - smoothed(1.0)
 
 
@@ -244,11 +238,13 @@ def _arkl_exponents(
     d_a, w_a, z_a = _whiten(merged, a)
     d_b, w_b, z_b = _whiten(merged, b)
     # L at x = m_ab + L_ab y: const + slope^T y + y^T curv y / 2, y ~ N(0, I),
-    # so Var L = |slope|^2 + |curv|_F^2 / 2.
-    slope = np.sum(w_a * z_a[:, :, None], axis=1) - np.sum(w_b * z_b[:, :, None], axis=1)
-    curv = np.sum(w_a[:, :, :, None] * w_a[:, :, None, :], axis=1) - np.sum(
-        w_b[:, :, :, None] * w_b[:, :, None, :], axis=1
-    )
+    # so Var L = |slope|^2 + |curv|_F^2 / 2.  A product overflows only where
+    # a factor's square, and so a divergence, does; that row is flagged below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = np.sum(w_a * z_a[:, :, None], axis=1) - np.sum(w_b * z_b[:, :, None], axis=1)
+        curv = np.sum(w_a[:, :, :, None] * w_a[:, :, None, :], axis=1) - np.sum(
+            w_b[:, :, :, None] * w_b[:, :, None, :], axis=1
+        )
     terms = np.concatenate([slope, curv.reshape(len(slope), -1) * math.sqrt(0.5)], axis=1)
     sd_full = np.hypot.reduce(terms, axis=1)
     pa = a.weights / merged.weights

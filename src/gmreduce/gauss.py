@@ -12,9 +12,13 @@ holds many components as arrays, and the private stacked kernels here
 (Cholesky factorization, forward substitution, the divergence with its
 whitened frame, the overlap and the moment match) evaluate every row of
 such a stack in one pass of numpy calls.  :func:`kld_gauss`,
-:func:`product_decompose`, :func:`moment_match_merge` and the density
-functions are batches of one over them, and :mod:`gmreduce.costs` builds
-the cost kernels of the reduction engines on them.  One more stacked
+:func:`product_decompose` and the density functions are batches of one
+over them, and :mod:`gmreduce.costs` builds the cost kernels of the
+reduction engines on them.  :func:`moment_match_merge` is a batch of one
+over :func:`_moment_match`, the one moment match that prices a merge in
+the cost kernels and applies it in :mod:`gmreduce.mixture`; a stack
+that is already validated and factorized becomes components again
+through :func:`_components`, without a second check.  One more stacked
 kernel gives the weighted log densities of every component at every
 point, and :func:`_log_sum_exp` sums them; the mixture density and each
 EM iteration use both.
@@ -173,17 +177,24 @@ def _stacked_components(weights, means, covs) -> tuple[GaussianComponent, ...]:
     checked = [(_check_weight(w),) + _checked_moments(m, s) for w, m, s in zip(weights, means, covs)]
     if not checked:
         return ()
-    means = np.array([m for _, m, _ in checked])
-    covs = np.array([s for _, _, s in checked])
+    weights, means, covs = (np.array(column) for column in zip(*checked))
     chols, log_dets, ok = _cholesky(covs)
     if not np.all(ok):
         raise np.linalg.LinAlgError("covariance is not positive definite")
-    block = np.concatenate([means[:, None], covs, chols], axis=1)
+    return _components(ComponentArrays(weights, means, covs, chols, log_dets))
+
+
+def _components(arr: ComponentArrays) -> tuple[GaussianComponent, ...]:
+    """An already validated and factorized stack as components sharing one block.
+
+    The inverse of :meth:`ComponentArrays.of`: nothing is checked or factorized again.
+    """
+    block = np.concatenate([arr.means[:, None], arr.covs, arr.chols], axis=1)
     block.flags.writeable = False
     comps = []
-    for row, (weight, _, _) in enumerate(checked):
+    for row, (weight, log_det) in enumerate(zip(arr.weights.tolist(), arr.log_dets.tolist())):
         c = object.__new__(GaussianComponent)
-        _set_state(c, weight, float(log_dets[row]), block, row)
+        _set_state(c, weight, log_det, block, row)
         comps.append(c)
     return tuple(comps)
 
@@ -331,34 +342,27 @@ def _log_sum_exp(log_terms: np.ndarray) -> np.ndarray:
         return top + np.log(np.sum(np.exp(log_terms - top), axis=1, keepdims=True))
 
 
-def _merged_moments(wa, ma, sa, wb, mb, sb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Total weight, mean and covariance of the moment matches of stacked weighted pairs.
-
-    The spread term overflows for extreme separations and a zero total
-    weight gives NaN; callers check the result.
-    """
-    total = wa + wb
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pa = wa / total
-        pb = wb / total
-        mean = pa[:, None] * ma + pb[:, None] * mb
-        delta = ma - mb
-        cov = (
-            pa[:, None, None] * sa
-            + pb[:, None, None] * sb
-            + (pa * pb)[:, None, None] * (delta[:, :, None] * delta[:, None, :])
-        )
-    return total, mean, cov
-
-
 def _moment_match(a: ComponentArrays, b: ComponentArrays) -> tuple[ComponentArrays, np.ndarray]:
     """Moment-matched merges of aligned pairs, and a flag per row.
 
-    A row whose moments are not finite or whose covariance fails to
-    factorize is flagged False and holds NaN factors; the other rows are
-    unaffected.
+    Each merge carries the pair's total weight, its weighted mean, and
+    its weighted covariance plus the spread term between the means (see
+    :func:`moment_match_merge`).  The spread term overflows for extreme
+    separations and a zero total weight gives NaN: a row whose moments
+    are not finite or whose covariance fails to factorize is flagged
+    False and holds NaN factors; the other rows are unaffected.
     """
-    total, mean, cov = _merged_moments(a.weights, a.means, a.covs, b.weights, b.means, b.covs)
+    total = a.weights + b.weights
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pa = a.weights / total
+        pb = b.weights / total
+        mean = pa[:, None] * a.means + pb[:, None] * b.means
+        delta = a.means - b.means
+        cov = (
+            pa[:, None, None] * a.covs
+            + pb[:, None, None] * b.covs
+            + (pa * pb)[:, None, None] * (delta[:, :, None] * delta[:, None, :])
+        )
     chols, log_dets, ok = _cholesky(cov)
     ok &= np.all(np.isfinite(mean), axis=1)
     return ComponentArrays(total, mean, cov, chols, log_dets), ok
@@ -382,6 +386,12 @@ class ProductDecomposition:
 def _check_same_dim(a: GaussianComponent, b: GaussianComponent):
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def _pair_arrays(a: GaussianComponent, b: GaussianComponent) -> tuple[ComponentArrays, ComponentArrays]:
+    """Two one-row stacks: the batch of one behind every scalar pair function."""
+    _check_same_dim(a, b)
+    return ComponentArrays.of((a,)), ComponentArrays.of((b,))
 
 
 def log_pdf(c: GaussianComponent, x) -> float | np.ndarray:
@@ -420,8 +430,7 @@ def kld_gauss(from_: GaussianComponent, to: GaussianComponent) -> float:
 
     Always nonnegative; zero iff the densities coincide.
     """
-    _check_same_dim(from_, to)
-    div, _, _ = _whiten(ComponentArrays.of((from_,)), ComponentArrays.of((to,)))
+    div, _, _ = _whiten(*_pair_arrays(from_, to))
     return float(div[0])
 
 
@@ -434,8 +443,7 @@ def product_decompose(a: GaussianComponent, b: GaussianComponent) -> ProductDeco
         m*    = m_a + S_a (S_a + S_b)^-1 (m_b - m_a)
         S*    = S_a - S_a (S_a + S_b)^-1 S_a
     """
-    _check_same_dim(a, b)
-    scale = float(_overlaps(ComponentArrays.of((a,)), ComponentArrays.of((b,)))[0])
+    scale = float(_overlaps(*_pair_arrays(a, b))[0])
     # gain = S_a (S_a + S_b)^-1, the transpose of (S_a + S_b)^-1 S_a
     gain = np.linalg.solve(a.cov + b.cov, a.cov).T
     mean_star = a.mean + gain @ (b.mean - a.mean)
@@ -482,18 +490,14 @@ def moment_match_merge(a: GaussianComponent, b: GaussianComponent) -> GaussianCo
 
     with wa', wb' the weights normalized over the pair.  Among single
     Gaussians this choice minimizes the forward divergence from the
-    normalized pair.
+    normalized pair.  A batch of one over :func:`_moment_match`, the
+    moment match that prices and applies every merge.
     """
-    _check_same_dim(a, b)
-    total = a.weight + b.weight
-    if total <= 0.0:
+    pair = _pair_arrays(a, b)
+    if a.weight + b.weight <= 0.0:
         raise ValueError("cannot merge a pair with zero total weight")
-    _, mean, cov = _merged_moments(
-        np.array([a.weight]), a.mean[None], a.cov[None], np.array([b.weight]), b.mean[None], b.cov[None]
-    )
-    mean, cov = mean[0], cov[0]
-    # The spread term can overflow for extreme separations; surface that
-    # as a factorization failure so callers treat the pair as unmergeable.
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise np.linalg.LinAlgError("moment-matched merge overflows to non-finite moments")
-    return GaussianComponent(total, mean, cov)
+    _check_weight(a.weight + b.weight)
+    merged, ok = _moment_match(*pair)
+    if not ok[0]:
+        raise np.linalg.LinAlgError("moment-matched merge overflows or is not positive definite")
+    return _components(merged)[0]

@@ -1,7 +1,9 @@
 """Gaussian mixtures and the prune/merge hypotheses that shrink them.
 
 A reduction step either removes one component and renormalizes the
-survivors, or replaces a pair by its moment-matched merge.  Component
+survivors, or replaces a pair by its moment-matched merge.  That step
+has one definition, :func:`_apply`, on a stack of components: the
+public :func:`apply` and the reduction engine both use it.  Component
 indices in :class:`Prune` and :class:`Merge` are 1-based everywhere in
 the public API, matching the trace and CLI formats; only the internal
 array storage is 0-based.
@@ -9,14 +11,15 @@ array storage is 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 import numpy as np
 
 from .constants import WEIGHT_SUM_ATOL
-from .gauss import ComponentArrays, GaussianComponent, _log_sum_exp, _stacked_components, _weighted_log_pdfs
-from .gauss import moment_match_merge
+from .gauss import ComponentArrays, GaussianComponent, _components, _log_sum_exp, _moment_match, _stacked_components
+from .gauss import _weighted_log_pdfs
+from .gauss import moment_match_merge  # noqa: F401 -- kept importable here for call tracers
 
 __all__ = [
     "GaussianMixture",
@@ -150,7 +153,7 @@ def apply(m: GaussianMixture, h: Hypothesis) -> GaussianMixture:
     division by one minus the pruned weight).  Merging replaces the pair
     by its moment-matched single Gaussian, placed at the smaller of the
     two positions; the result is renormalized as well so repeated
-    applications cannot drift.
+    applications cannot drift.  The step itself is :func:`_apply`.
     """
     _require_normalized(m)
     if isinstance(h, Prune):
@@ -159,16 +162,30 @@ def apply(m: GaussianMixture, h: Hypothesis) -> GaussianMixture:
             raise ValueError("cannot prune the only component")
         if 1.0 - m.components[h.j - 1].weight <= 0.0:
             raise ValueError(f"cannot prune component {h.j}: it carries all of the mass")
-        rest = tuple(c for i, c in enumerate(m.components) if i != h.j - 1)
-        return GaussianMixture(rest).renormalized()
-    if isinstance(h, Merge):
+    elif isinstance(h, Merge):
         _check_index(m, h.i, "merge")
         _check_index(m, h.j, "merge")
-        merged = moment_match_merge(m.components[h.i - 1], m.components[h.j - 1])
-        comps = [c for i, c in enumerate(m.components) if i not in (h.i - 1, h.j - 1)]
-        comps.insert(h.i - 1, merged)
-        return GaussianMixture(tuple(comps)).renormalized()
-    raise ValueError(f"unknown hypothesis type: {h!r}")
+    return GaussianMixture(_components(_apply(ComponentArrays.of(m.components), h)))
+
+
+def _apply(arr: ComponentArrays, h: Hypothesis) -> ComponentArrays:
+    """The one definition of a prune or merge step, on a stack of components.
+
+    A merge writes the moment match of rows i and j into row i; both
+    kinds then drop row j and renormalize the weights by their sum.  The
+    input is not modified.  ``LinAlgError`` for a merge that the cost
+    kernels price as degenerate.
+    """
+    if not isinstance(h, (Prune, Merge)):
+        raise ValueError(f"unknown hypothesis type: {h!r}")
+    out = arr.take(np.arange(len(arr)) != h.j - 1)
+    if isinstance(h, Merge):
+        merged, ok = _moment_match(arr.take([h.i - 1]), arr.take([h.j - 1]))
+        if not ok[0]:
+            raise np.linalg.LinAlgError("moment-matched merge overflows or is not positive definite")
+        for f in fields(out):
+            getattr(out, f.name)[h.i - 1] = getattr(merged, f.name)[0]
+    return replace(out, weights=out.weights / out.weights.sum())
 
 
 def sample(m: GaussianMixture, n: int, seed, return_components: bool = False):

@@ -10,9 +10,10 @@ makes repeated runs bit-identical.
 Every pair statistic comes from the batched kernel layer of
 :mod:`gmreduce.costs`: a step hands it the index lists of all the pairs
 it needs and gets every value back from one stacked evaluation, never
-from a Python loop over pairs.  The expensive statistics are cached
-across steps in a :class:`CostTable`.  What survives a step is exactly
-the weight-independent part of each cost:
+from a Python loop over pairs.  The engine's only state is a
+:class:`CostTable`: the current components, stacked in canonical order,
+and the statistics cached across steps, which are exactly the
+weight-independent part of each cost:
 
 * divergences between existing components (the full pairwise matrix used
   by the refined prune cost),
@@ -23,16 +24,21 @@ the weight-independent part of each cost:
 * the Gram matrix of pairwise overlap integrals for the squared-error
   method.
 
-After every step the weight-dependent costs are reassembled from those
-kernels under the renormalized weights, as array expressions over the
-upper triangle; a merge additionally evaluates the new component's row
-of statistics as one batch.  This keeps the divergence-based methods at
-O(N^2) primitive evaluations for a full N -> 1 reduction.  The
-squared-error method re-evaluates every candidate merge's overlaps with
-the surviving components each step (the candidates' mixtures change
-with the surviving set): O(N^3) evaluations per step instead of the
-O(N^4) of a from-scratch evaluation, done as one stacked call per
-component so that memory stays proportional to the number of pairs.
+A step moves the table's components through the one prune/merge
+definition, :func:`gmreduce.mixture._apply`, which
+:func:`gmreduce.mixture.apply` uses too, and updates the table in place:
+row and column j of every cached matrix are deleted, a merge overwrites
+row and column i with the new component's statistics as one batch, and
+the weight-dependent costs are reassembled from the kernels under the
+renormalized weights, as array expressions over the upper triangle.  The
+output mixture is built once, from the components after the last step.
+This keeps the divergence-based methods at O(N^2) primitive evaluations
+for a full N -> 1 reduction.  The squared-error method re-evaluates
+every candidate merge's overlaps with the surviving components each
+step (the candidates' mixtures change with the surviving set): O(N^3)
+evaluations per step instead of the O(N^4) of a from-scratch
+evaluation, done as one stacked call per component so that memory stays
+proportional to the number of pairs.
 
 A merge candidate whose moment match overflows or fails to factorize, or
 whose merge exponents are not finite, is assigned +inf cost, skipped,
@@ -70,6 +76,7 @@ from .costs import (
 )
 from .gauss import (
     ComponentArrays,
+    _components,
     _whiten,
     moment_match_merge,  # noqa: F401 -- kept importable here for call tracers
 )
@@ -119,8 +126,9 @@ _KERNEL_FIELD = {CostKind.RUNNALLS_B: "kld", CostKind.ARKL_SIMPLE: "kld", CostKi
 
 @dataclass(eq=False)
 class CostTable:
-    """Cached per-hypothesis costs and their weight-independent kernels.
+    """The whole state of the greedy engine: the current components and their costs.
 
+    ``arr`` holds the current components in canonical order.
     ``pair_cost[i0, j0]`` (0-based, upper triangle) is the current cost
     of merging that pair and ``prune_cost[j0]`` the current cost of the
     corresponding prune (``None`` for the merge-only method).
@@ -129,79 +137,81 @@ class CostTable:
     the squared-error method.  ``kernel_a``/``kernel_b`` are the per-pair
     weight-independent merge kernels, and ``degenerate`` marks pairs
     whose merge kernels could not be evaluated (their cost is pinned at
-    +inf).
+    +inf).  :func:`update_cost_table` advances every field in place.
     """
 
     kind: CostKind
+    arr: ComponentArrays
     pair_cost: np.ndarray
     prune_cost: np.ndarray | None
-    pairwise_kld: np.ndarray | None
-    gram: np.ndarray | None
-    kernel_a: np.ndarray | None
-    kernel_b: np.ndarray | None
     degenerate: np.ndarray
+    pairwise_kld: np.ndarray | None = None
+    gram: np.ndarray | None = None
+    kernel_a: np.ndarray | None = None
+    kernel_b: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.pair_cost.shape[0]
 
 
-def _merges(i0: np.ndarray, j0: np.ndarray) -> list[Merge]:
-    return [Merge(int(i) + 1, int(j) + 1) for i, j in zip(i0, j0)]
+def _mark_degenerate(table: CostTable, bad_i: np.ndarray, bad_j: np.ndarray) -> list[Merge]:
+    """Pin the merges of pairs (bad_i[p], bad_j[p]) at +inf and return them (1-based)."""
+    table.degenerate[bad_i, bad_j] = True
+    table.pair_cost[bad_i, bad_j] = np.inf
+    return [Merge(int(i) + 1, int(j) + 1) for i, j in zip(bad_i, bad_j)]
 
 
-def _fill_pair_kernels(
-    table: CostTable, arr: ComponentArrays, i0: np.ndarray, j0: np.ndarray, counter: EvalCounter | None
-) -> list[Merge]:
+def _fill_pair_kernels(table: CostTable, i0: np.ndarray, j0: np.ndarray, counter: EvalCounter | None) -> list[Merge]:
     """Evaluate the merge kernels of pairs (i0[p], j0[p]), i0 < j0, as one batch.
 
     Two evaluations per pair, billed only when the pair's kernels are
     valid; the other pairs are marked degenerate and returned.
     """
-    k_a, k_b, ok = _merge_kernels(table.kind, arr.take(i0), arr.take(j0))
+    k_a, k_b, ok = _merge_kernels(table.kind, table.arr.take(i0), table.arr.take(j0))
     table.kernel_a[i0, j0] = k_a
     table.kernel_b[i0, j0] = k_b
-    bad_i, bad_j = i0[~ok], j0[~ok]
-    table.degenerate[bad_i, bad_j] = True
     _bill(counter, _KERNEL_FIELD[table.kind], 2 * int(np.count_nonzero(ok)))
-    return _merges(bad_i, bad_j)
+    return _mark_degenerate(table, i0[~ok], j0[~ok])
 
 
-def _refresh_weighted(table: CostTable, m: GaussianMixture) -> None:
-    """Reassemble all weight-dependent entries from cached kernels."""
-    n = m.size
-    w = m.weights
-    iu, ju = np.triu_indices(n, k=1)
-    live = ~table.degenerate[iu, ju]
-    iu, ju = iu[live], ju[live]
-    kernels = table.kernel_a[iu, ju], table.kernel_b[iu, ju]
-    table.pair_cost[iu, ju] = _pair_costs(table.kind, w[iu], w[ju], *kernels)
-    if table.kind is CostKind.ARKL_SIMPLE:
-        table.prune_cost[:] = _crude_prune(w)
-    elif table.kind is CostKind.ARKL_FULL:
-        table.prune_cost[:] = _arkl_prune_terms(w, table.pairwise_kld, np.arange(n)).min(axis=0)
+def _refresh(table: CostTable, counter: EvalCounter | None) -> list[Merge]:
+    """Reassemble every prune cost and the cost of every live pair under the current weights.
 
-
-def _refresh_williams(table: CostTable, arr: ComponentArrays, counter: EvalCounter | None) -> list[Merge]:
-    """Re-evaluate all squared-error costs from the cached Gram matrix.
-
-    Every candidate merge needs its overlaps with the current
-    components: n + 1 evaluations per live pair of n components.
-    Returns the pairs newly found degenerate.
+    The divergence methods combine the cached kernels with the weights.
+    The squared-error method evaluates each candidate merge's overlaps
+    with the n current components, n + 1 per live pair, and returns the
+    pairs newly found degenerate.
     """
-    n = len(arr)
-    w = arr.weights
-    s, t = _gram_stats(w, table.gram)
-    table.prune_cost[:] = _prune_ise_from_gram(w, table.gram, s, t, np.arange(n))
+    kind, arr = table.kind, table.arr
+    n, w = len(arr), arr.weights
     iu, ju = np.triu_indices(n, k=1)
     live = ~table.degenerate[iu, ju]
     iu, ju = iu[live], ju[live]
-    costs, ok = _williams_merge_costs(arr, table.gram, s, t, iu, ju)
-    _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
-    table.pair_cost[iu, ju] = costs
-    bad_i, bad_j = iu[~ok], ju[~ok]
-    table.degenerate[bad_i, bad_j] = True
-    return _merges(bad_i, bad_j)
+    if kind is CostKind.WILLIAMS_ISE:
+        s, t = _gram_stats(w, table.gram)
+        table.prune_cost[:] = _prune_ise_from_gram(w, table.gram, s, t, np.arange(n))
+        costs, ok = _williams_merge_costs(arr, table.gram, s, t, iu, ju)
+        _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
+        table.pair_cost[iu, ju] = costs
+        return _mark_degenerate(table, iu[~ok], ju[~ok])
+    kernels = table.kernel_a[iu, ju], table.kernel_b[iu, ju]
+    table.pair_cost[iu, ju] = _pair_costs(kind, w[iu], w[ju], *kernels)
+    if kind is CostKind.ARKL_SIMPLE:
+        table.prune_cost[:] = _crude_prune(w)
+    elif kind is CostKind.ARKL_FULL:
+        table.prune_cost[:] = _arkl_prune_terms(w, table.pairwise_kld, np.arange(n)).min(axis=0)
+    return []
+
+
+def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = None) -> None:
+    """The argument checks of both engines; the target is checked only when given."""
+    if not isinstance(kind, CostKind):
+        raise ValueError(f"kind must be a CostKind, got {kind!r}")
+    if target is not None and not 1 <= target <= m.size:
+        raise ValueError(f"target must lie in [1, {m.size}], got {target}")
+    if target is not None and not m.is_normalized:
+        raise ValueError("reduction requires a normalized mixture")
 
 
 def build_cost_table(
@@ -211,97 +221,61 @@ def build_cost_table(
 
     Returns the table and the merges found degenerate (1-based).
     """
-    if not isinstance(kind, CostKind):
-        raise ValueError(f"kind must be a CostKind, got {kind!r}")
+    _check_arguments(m, kind)
     n = m.size
+    prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n, np.inf)
     arr = ComponentArrays.of(m.components)
-    pair_cost = np.full((n, n), np.inf)
-    degenerate = np.zeros((n, n), dtype=bool)
+    table = CostTable(kind, arr, np.full((n, n), np.inf), prune_cost, np.zeros((n, n), dtype=bool))
     if kind is CostKind.WILLIAMS_ISE:
         gi, gj = np.triu_indices(n)
-        gram = np.empty((n, n))
-        gram[gi, gj] = gram[gj, gi] = _overlaps(arr.take(gi), arr.take(gj))
+        table.gram = np.empty((n, n))
+        table.gram[gi, gj] = table.gram[gj, gi] = _overlaps(arr.take(gi), arr.take(gj))
         _bill(counter, "overlap", gi.size)
-        table = CostTable(kind, pair_cost, np.full(n, np.inf), None, gram, None, None, degenerate)
-        return table, _refresh_williams(table, arr, counter)
-    pairwise_kld = None
+        return table, _refresh(table, counter)
     if kind is CostKind.ARKL_FULL:
-        pairwise_kld = _kld_matrix(arr)
+        table.pairwise_kld = _kld_matrix(arr)
         _bill(counter, "kld", n * (n - 1))
-    prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n, np.inf)
-    kernel_a, kernel_b = np.full((n, n), np.nan), np.full((n, n), np.nan)
-    table = CostTable(kind, pair_cost, prune_cost, pairwise_kld, None, kernel_a, kernel_b, degenerate)
-    new_degenerate = _fill_pair_kernels(table, arr, *np.triu_indices(n, k=1), counter)
-    _refresh_weighted(table, m)
-    return table, new_degenerate
+    table.kernel_a, table.kernel_b = np.full((n, n), np.nan), np.full((n, n), np.nan)
+    return table, _fill_pair_kernels(table, *np.triu_indices(n, k=1), counter) + _refresh(table, counter)
 
 
-def _delete_rc(arr: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
-    keep = np.delete(np.arange(arr.shape[0]), idx)
-    return arr[np.ix_(keep, keep)]
+def _delete_rc(table: CostTable, idx: int) -> None:
+    """Delete entry ``idx`` along every axis of every cached array of ``table``."""
+    keep = np.delete(np.arange(table.size), idx)
+    grid = np.ix_(keep, keep)
+    for name in ("pair_cost", "prune_cost", "degenerate", "pairwise_kld", "gram", "kernel_a", "kernel_b"):
+        cached = getattr(table, name)
+        if cached is not None:
+            setattr(table, name, cached[grid if cached.ndim == 2 else keep])
 
 
-def _insert_rc(arr: np.ndarray, pos: int, fill) -> np.ndarray:
-    out = np.insert(arr, pos, fill, axis=0)
-    return np.insert(out, pos, fill, axis=1)
+def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounter | None = None) -> list[Merge]:
+    """Advance a cost table in place across one applied hypothesis.
 
-
-def update_cost_table(
-    table: CostTable, m_after: GaussianMixture, applied: Hypothesis, counter: EvalCounter | None = None
-) -> tuple[CostTable, list[Merge]]:
-    """Advance a cost table across one applied hypothesis.
-
-    ``m_after`` is the mixture the applied hypothesis produced.  Returns
-    a new table and the merges newly found degenerate (1-based); the
-    input table is not modified.  Surviving kernels, pairwise
-    divergences and Gram entries are carried over, and only statistics
-    involving a newly merged component are evaluated, as one batch each.
+    The table's components move one step through :func:`mixture._apply`,
+    row and column j of every cached matrix are deleted, and for a merge
+    row and column i are overwritten with the merged component's
+    statistics, evaluated as one batch each.  Every other kernel,
+    pairwise divergence and Gram entry is carried over.  Returns the
+    merges newly found degenerate (1-based).
     """
-    kind = table.kind
+    table.arr = mix._apply(table.arr, applied)
+    _delete_rc(table, applied.j - 1)
     if isinstance(applied, Prune):
-        drop: tuple[int, ...] = (applied.j - 1,)
-        insert_at = None
-    elif isinstance(applied, Merge):
-        drop = (applied.i - 1, applied.j - 1)
-        insert_at = applied.i - 1
-    else:
-        raise ValueError(f"unknown hypothesis type: {applied!r}")
-
-    n_after = m_after.size
-    arr = ComponentArrays.of(m_after.components)
-    degenerate = _delete_rc(table.degenerate, drop)
-    pairwise_kld = None if table.pairwise_kld is None else _delete_rc(table.pairwise_kld, drop)
-    gram = None if table.gram is None else _delete_rc(table.gram, drop)
-    kernel_a = None if table.kernel_a is None else _delete_rc(table.kernel_a, drop)
-    kernel_b = None if table.kernel_b is None else _delete_rc(table.kernel_b, drop)
-    if insert_at is not None:
-        degenerate = _insert_rc(degenerate, insert_at, False)
-        others = np.flatnonzero(np.arange(n_after) != insert_at)
-        merged = arr.take([insert_at])
-        if gram is not None:
-            gram = _insert_rc(gram, insert_at, 0.0)
-            gram[insert_at, :] = gram[:, insert_at] = _overlaps(arr, merged)
-            _bill(counter, "overlap", n_after)
-        if pairwise_kld is not None:
-            pairwise_kld = _insert_rc(pairwise_kld, insert_at, 0.0)
-            pairwise_kld[others, insert_at] = _whiten(arr.take(others), merged)[0]
-            pairwise_kld[insert_at, others] = _whiten(merged, arr.take(others))[0]
-            _bill(counter, "kld", 2 * others.size)
-        if kernel_a is not None:
-            kernel_a = _insert_rc(kernel_a, insert_at, np.nan)
-            kernel_b = _insert_rc(kernel_b, insert_at, np.nan)
-
-    pair_cost = np.full((n_after, n_after), np.inf)
-    prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n_after, np.inf)
-    new_table = CostTable(kind, pair_cost, prune_cost, pairwise_kld, gram, kernel_a, kernel_b, degenerate)
-    if kind is CostKind.WILLIAMS_ISE:
-        return new_table, _refresh_williams(new_table, arr, counter)
-    new_degenerate = []
-    if insert_at is not None:
-        lo, hi = np.minimum(others, insert_at), np.maximum(others, insert_at)
-        new_degenerate = _fill_pair_kernels(new_table, arr, lo, hi, counter)
-    _refresh_weighted(new_table, m_after)
-    return new_table, new_degenerate
+        return _refresh(table, counter)
+    i, arr = applied.i - 1, table.arr
+    others = np.flatnonzero(np.arange(len(arr)) != i)
+    merged = arr.take([i])
+    table.degenerate[i, :] = table.degenerate[:, i] = False
+    if table.gram is not None:
+        table.gram[i, :] = table.gram[:, i] = _overlaps(arr, merged)
+        _bill(counter, "overlap", len(arr))
+        return _refresh(table, counter)
+    if table.pairwise_kld is not None:
+        table.pairwise_kld[others, i] = _whiten(arr.take(others), merged)[0]
+        table.pairwise_kld[i, others] = _whiten(merged, arr.take(others))[0]
+        _bill(counter, "kld", 2 * others.size)
+    return _fill_pair_kernels(table, np.minimum(others, i), np.maximum(others, i), counter) + _refresh(table, counter)
 
 
 @dataclass(frozen=True)
@@ -337,23 +311,19 @@ class ReductionTrace:
     skipped: tuple[tuple[int, Merge], ...] = ()
 
 
-def _costs_in_canonical_order(table: CostTable) -> np.ndarray:
+def _canonical_order(table: CostTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every hypothesis's cost in canonical order, and its 1-based (i, j); a prune has i = 0."""
     n = table.size
     iu, ju = np.triu_indices(n, k=1)
-    merge_costs = table.pair_cost[iu, ju]
-    if table.prune_cost is None:
-        return merge_costs
-    return np.concatenate([table.prune_cost, merge_costs])
-
-
-def _hypothesis_at(table: CostTable, pos: int) -> Hypothesis:
-    """The hypothesis at ``pos`` of :func:`_costs_in_canonical_order`."""
+    costs, i, j = table.pair_cost[iu, ju], iu + 1, ju + 1
     if table.prune_cost is not None:
-        if pos < table.size:
-            return Prune(pos + 1)
-        pos -= table.size
-    iu, ju = np.triu_indices(table.size, k=1)
-    return Merge(int(iu[pos]) + 1, int(ju[pos]) + 1)
+        costs = np.concatenate([table.prune_cost, costs])
+        i, j = np.concatenate([np.zeros(n, dtype=int), i]), np.concatenate([np.arange(1, n + 1), j])
+    return costs, i, j
+
+
+def _hypothesis(i: int, j: int) -> Hypothesis:
+    return Prune(j) if i == 0 else Merge(i, j)
 
 
 def reduce(
@@ -366,42 +336,33 @@ def reduce(
     ``ValueError`` for an out-of-range target and propagates a
     factorization error if every admissible hypothesis is degenerate.
     """
-    if not isinstance(kind, CostKind):
-        raise ValueError(f"kind must be a CostKind, got {kind!r}")
-    if not 1 <= target <= m.size:
-        raise ValueError(f"target must lie in [1, {m.size}], got {target}")
-    if not m.is_normalized:
-        raise ValueError("reduction requires a normalized mixture")
+    _check_arguments(m, kind, target)
+    if target == m.size:
+        return m, ReductionTrace(kind, ())
     counter = EvalCounter()
     steps: list[TraceStep] = []
     per_step: list[int] = []
     skipped: list[tuple[int, Merge]] = []
-    cur = m
-    table: CostTable | None = None
-    pending: Hypothesis | None = None
-    while cur.size > target:
-        evals_before = counter.total
-        if table is None:
-            table, degenerate = build_cost_table(cur, kind, counter)
-        else:
-            table, degenerate = update_cost_table(table, cur, pending, counter)
+    table, degenerate = build_cost_table(m, kind, counter)
+    while True:
         skipped.extend((len(steps), h) for h in degenerate)
-        costs_arr = _costs_in_canonical_order(table)
+        costs_arr, hyp_i, hyp_j = _canonical_order(table)
         pick = int(np.argmin(costs_arr))
         cost = float(costs_arr[pick])
         if not np.isfinite(cost):
             raise np.linalg.LinAlgError("every admissible hypothesis is degenerate")
-        chosen = _hypothesis_at(table, pick)
+        chosen = _hypothesis(int(hyp_i[pick]), int(hyp_j[pick]))
         all_costs = None
         if record_all_costs:
-            all_costs = dict(zip(enumerate_hypotheses(cur, kind.include_pruning), costs_arr.tolist()))
-        cur = mix.apply(cur, chosen)
-        pending = chosen
+            all_costs = {_hypothesis(i, j): c for i, j, c in zip(hyp_i.tolist(), hyp_j.tolist(), costs_arr.tolist())}
         flags = ("negative_cost",) if cost < 0.0 else ()
-        steps.append(TraceStep(chosen, cost, cur.size, flags, all_costs))
-        per_step.append(counter.total - evals_before)
-    trace = ReductionTrace(kind, tuple(steps), counter.total, tuple(per_step), tuple(skipped))
-    return cur, trace
+        steps.append(TraceStep(chosen, cost, table.size - 1, flags, all_costs))
+        per_step.append(counter.total - sum(per_step))
+        if table.size - 1 == target:
+            break
+        degenerate = update_cost_table(table, chosen, counter=counter)
+    out = GaussianMixture(_components(mix._apply(table.arr, chosen)))
+    return out, ReductionTrace(kind, tuple(steps), counter.total, tuple(per_step), tuple(skipped))
 
 
 def _naive_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, counter: EvalCounter | None) -> float:
@@ -441,12 +402,7 @@ def reference_reduce(
     :func:`reduce`; exists as the correctness baseline for the cached
     engine and as the naive-complexity yardstick.
     """
-    if not isinstance(kind, CostKind):
-        raise ValueError(f"kind must be a CostKind, got {kind!r}")
-    if not 1 <= target <= m.size:
-        raise ValueError(f"target must lie in [1, {m.size}], got {target}")
-    if not m.is_normalized:
-        raise ValueError("reduction requires a normalized mixture")
+    _check_arguments(m, kind, target)
     counter = EvalCounter()
     steps: list[TraceStep] = []
     per_step: list[int] = []

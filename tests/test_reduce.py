@@ -1,7 +1,10 @@
 """Greedy reduction engine: caching, traces, counters, determinism."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import random_mixture
 from gmreduce import (
@@ -63,9 +66,13 @@ def test_update_table_matches_fresh_build():
             for h in (Prune(2), Merge(1, 3)):
                 if isinstance(h, Prune) and not kind.include_pruning:
                     continue
-                table, _ = build_cost_table(m, kind)
+                updated, _ = build_cost_table(m, kind)
+                update_cost_table(updated, h)
                 after = apply(m, h)
-                updated, _ = update_cost_table(table, after, h)
+                # The table's own components took the same step as apply.
+                want = ComponentArrays.of(after.components)
+                for f in fields(want):
+                    assert np.array_equal(getattr(updated.arr, f.name), getattr(want, f.name))
                 fresh, _ = build_cost_table(after, kind)
                 # A fresh build recomputes kernels from the renormalized
                 # weights, which moves the merged moments by an ulp, so the
@@ -75,6 +82,43 @@ def test_update_table_matches_fresh_build():
                     assert updated.prune_cost is None and fresh.prune_cost is None
                 else:
                     assert np.allclose(updated.prune_cost, fresh.prune_cost, rtol=1e-10, atol=1e-14)
+
+
+@st.composite
+def _ill_conditioned_mixtures(draw):
+    """Two to eight components in d <= 8, condition numbers up to 1e12, weights in [1e-9, 1] before normalizing."""
+    dim = draw(st.integers(1, 8))
+    size = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights, means, covs = [], [], []
+    for _ in range(size):
+        cond = 10.0 ** draw(st.floats(0.0, 12.0))
+        rot, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        cov = (rot * np.geomspace(1.0, 1.0 / cond, dim) * 10.0 ** rng.uniform(-2.0, 2.0)) @ rot.T
+        covs.append(0.5 * (cov + cov.T))
+        means.append(rng.uniform(-5.0, 5.0, dim))
+        weights.append(draw(st.floats(1e-9, 1.0)))
+    try:
+        return GaussianMixture.from_arrays(np.array(weights) / sum(weights), means, covs)
+    except np.linalg.LinAlgError:
+        reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ill_conditioned_mixtures())
+def test_replaying_a_trace_with_apply_reproduces_reduce(m):
+    """The engine's step and ``apply`` are one definition: a replay matches bit for bit."""
+    for kind in ALL_KINDS:
+        try:
+            out, trace = reduce(m, 1, kind)
+        except np.linalg.LinAlgError:
+            continue
+        replayed = m
+        for step in trace.steps:
+            replayed = apply(replayed, step.chosen)
+        assert _mixtures_equal(out, replayed)
+        (got,), (want,) = out.components, replayed.components
+        assert np.array_equal(got.chol, want.chol) and got.log_det == want.log_det
 
 
 def test_reduce_noop_when_target_equals_size():
