@@ -246,16 +246,13 @@ def _write_points_csv(path: str, dataset: LabeledDataset):
         header.append("label")
     if dataset.truth is not None:
         header.append("truth")
+    # Each column is formatted once; the rows are what csv.writer writes
+    # (no field needs quoting), "\r\n"-terminated, in one write.
+    columns = [[repr(v) for v in col] for col in dataset.points.T.tolist()]
+    columns += [[str(v) for v in ints.tolist()] for ints in (dataset.labels, dataset.truth) if ints is not None]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx in range(dataset.points.shape[0]):
-            row = [repr(float(v)) for v in dataset.points[idx]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[idx])))
-            if dataset.truth is not None:
-                row.append(str(int(dataset.truth[idx])))
-            writer.writerow(row)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

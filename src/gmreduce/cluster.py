@@ -8,7 +8,9 @@ points assigned to them; a merge-only method must keep every point.
 
 Each EM iteration is a fixed number of stacked numpy calls over all
 components; its weighted log-density kernel also gives the final
-responsibilities and reassigns the points of merged pairs.
+responsibilities and reassigns the points of merged pairs.  Inside the
+iteration a responsibility below e^-700 counts as exactly zero, which
+keeps exp off its slow subnormal path (see :func:`gauss._exp_ftz`).
 
 Labels are 1-based component indices; :data:`DISCARDED` (-1) marks
 points dropped by a prune step.  Ground-truth arrays use the same
@@ -23,8 +25,8 @@ import numpy as np
 
 from . import mixture as mix
 from .costs import CostKind
-from .gauss import ComponentArrays, _cholesky, _log_sum_exp, _weighted_log_pdfs
-from .mixture import GaussianMixture, Merge, Prune, _component_log_pdf
+from .gauss import ComponentArrays, _cholesky, _exp_ftz, _log_sum_exp, _weighted_log_pdfs
+from .mixture import GaussianMixture, Merge, Prune, _apply, _component_log_pdf
 from .reduction import ReductionTrace, reduce
 
 __all__ = [
@@ -217,7 +219,9 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     its log-sum-exp, then one matrix product for the means and one
     batched product over the centered points for the covariances.  A
     component that loses all responsibility is re-seeded at a random
-    data point (counted in ``reinit_events``).
+    data point (counted in ``reinit_events``).  In the loop, a
+    responsibility below e^-700 is exactly 0 (:func:`_exp_ftz`); the
+    returned ones are plain ``np.exp``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -251,7 +255,7 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
         total_ll = float(np.sum(log_norm))
         if not np.isfinite(total_ll):
             raise EMError(f"log-likelihood became non-finite at iteration {it}")
-        resp = np.exp(log_terms - log_norm)
+        resp = _exp_ftz(log_terms - log_norm)
         if bumps.any():
             perturbed.append(it)
         lls.append(total_ll)
@@ -312,11 +316,11 @@ def reduce_and_reassign(
 ) -> tuple[GaussianMixture, LabeledDataset, ReductionTrace]:
     """Reduce a fitted mixture and carry the point assignments along.
 
-    Initial labels are the argmax responsibilities.  Replaying the
-    reduction trace, a pruned component's points become
-    :data:`DISCARDED`; the points of a merged pair are reassigned by the
-    same rule, to the component of largest weighted density in the
-    mixture as it stands after that step.  Returns (reduced mixture,
+    Initial labels are the argmax responsibilities.  Replaying the trace
+    on one component stack (:func:`mixture._apply`), a pruned component's
+    points become :data:`DISCARDED`; the points of a merged pair are
+    reassigned by the same rule, to the component of largest weighted
+    density in the mixture after that step.  Returns (reduced mixture,
     labeled points, trace).
     """
     points = np.asarray(points, dtype=float)
@@ -328,10 +332,10 @@ def reduce_and_reassign(
         )
     labels = np.argmax(responsibilities, axis=1) + 1
     reduced, trace = reduce(mixture, target, kind)
-    cur = mixture
+    arr = ComponentArrays.of(mixture.components)
     for step in trace.steps:
         h = step.chosen
-        nxt = mix.apply(cur, h)
+        arr = _apply(arr, h)
         if isinstance(h, Prune):
             labels = np.where(labels == h.j, DISCARDED, labels)
             labels = np.where(labels > h.j, labels - 1, labels)
@@ -339,6 +343,5 @@ def reduce_and_reassign(
             moved = (labels == h.i) | (labels == h.j)
             labels = np.where(labels > h.j, labels - 1, labels)
             if np.any(moved):
-                labels[moved] = np.argmax(_component_log_pdf(nxt, points[moved]), axis=1) + 1
-        cur = nxt
+                labels[moved] = np.argmax(_weighted_log_pdfs(arr, points[moved]), axis=1) + 1
     return reduced, LabeledDataset(points, labels=labels), trace

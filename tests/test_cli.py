@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import random_mixture
-from gmreduce import CostKind, GaussianMixture, Merge, Prune, apply
+from gmreduce import CostKind, GaussianMixture, LabeledDataset, Merge, Prune, apply
 from gmreduce.cli import (
     SWEEP_COLUMNS,
+    _write_points_csv,
     load_mixture,
     load_trace,
     main,
@@ -438,3 +439,30 @@ def test_unknown_method_rejected_by_parser(tmp_path):
     path = _write_doc(tmp_path / "m.json", _two_component_doc())
     with pytest.raises(SystemExit):
         main(["reduce", "--in", path, "--method", "bogus", "--target", "1"])
+
+
+def _csv_writer_reference(path, dataset):
+    """The row-by-row csv.writer output, kept as an oracle for the points file."""
+    header = [f"x{i + 1}" for i in range(dataset.points.shape[1])]
+    extra = [(name, arr) for name, arr in (("label", dataset.labels), ("truth", dataset.truth)) if arr is not None]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + [name for name, _ in extra])
+        for idx, point in enumerate(dataset.points):
+            writer.writerow([repr(float(v)) for v in point] + [str(int(arr[idx])) for _, arr in extra])
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("with_truth", [True, False])
+def test_points_csv_matches_csv_writer_bytes(tmp_path, dim, with_truth):
+    rng = np.random.default_rng(40 + dim)
+    n = 50
+    points = rng.normal(0.0, 10.0, (n, dim)) * 10.0 ** rng.integers(-20, 20, (n, dim))
+    points[0] = -0.0
+    labels = rng.integers(-1, 7, n)
+    labels[1] = -1
+    truth = rng.integers(0, 7, n) if with_truth else None
+    for dataset in (LabeledDataset(points, labels, truth), LabeledDataset(points, None, truth), LabeledDataset(points[:0])):
+        _write_points_csv(str(tmp_path / "got.csv"), dataset)
+        _csv_writer_reference(str(tmp_path / "want.csv"), dataset)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

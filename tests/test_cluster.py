@@ -22,8 +22,10 @@ from gmreduce import (
     reduce_and_reassign,
     six_cluster_mixture,
 )
+from gmreduce import apply as apply_step
+from gmreduce import cluster
 from gmreduce.cluster import _factorize, _seed_means
-from gmreduce.mixture import log_pdf as mixture_log_pdf
+from gmreduce.mixture import _component_log_pdf, log_pdf as mixture_log_pdf
 
 
 def test_six_cluster_mixture_frozen_values():
@@ -306,6 +308,40 @@ def test_stacked_em_matches_component_loop_on_jitter_and_reseed():
     assert fit.jitter_events > 0
 
 
+def test_em_flushes_in_loop_responsibilities_below_e_minus_700(monkeypatch):
+    # Three copies of one remote point: a component collapses onto them
+    # and is bumped on most iterations, while far points get
+    # responsibilities between e^-745 and e^-700, which the flush zeroes.
+    pts = np.vstack([generate_corrupted_data(100, 10, seed=25).points, [[30.0, 30.0]] * 3])
+    cfg = EMConfig(n_clusters=6, max_iters=40, seed=0)
+    seen = []
+
+    def spy(x):
+        out = flush(x)
+        seen.append((x, out))
+        return out
+
+    flush = cluster._exp_ftz
+    monkeypatch.setattr(cluster, "_exp_ftz", spy)
+    fit = em_fit_details(pts, cfg)
+    assert fit.jitter_events > 0
+    assert len(seen) == len(fit.log_likelihoods)
+    args = np.concatenate([x.ravel() for x, _ in seen])
+    resp = np.concatenate([out.ravel() for _, out in seen])
+    assert np.any((args > -745.0) & (args < -700.0))
+    assert np.all((resp == 0.0) | (resp >= np.exp(-700.0)))
+
+    # On this fixture the flush moves no bit of the fit.
+    monkeypatch.setattr(cluster, "_exp_ftz", np.exp)
+    plain = em_fit_details(pts, cfg)
+    assert plain.log_likelihoods == fit.log_likelihoods
+    assert plain.jitter_events == fit.jitter_events
+    assert np.array_equal(plain.responsibilities, fit.responsibilities)
+    for a, b in zip(plain.mixture.components, fit.mixture.components):
+        assert a.weight == b.weight
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+
+
 def test_em_rejects_non_finite_points():
     for bad in (np.nan, np.inf, -np.inf):
         pts = np.zeros((10, 2))
@@ -451,3 +487,31 @@ def test_component_log_pdf_used_by_em_matches_mixture():
         [np.log(c.weight) + component_log_pdf(c, pts) for c in m.components]
     )
     assert np.allclose(logsumexp(per, axis=0), mixture_log_pdf(m, pts), atol=1e-12)
+
+
+def _apply_replay_labels(mixture, resp, points, trace):
+    """The label replay through the public apply, one mixture per step, kept as an oracle."""
+    labels = np.argmax(resp, axis=1) + 1
+    cur = mixture
+    for step in trace.steps:
+        h = step.chosen
+        cur = apply_step(cur, h)
+        if isinstance(h, Prune):
+            labels = np.where(labels == h.j, DISCARDED, labels)
+            labels = np.where(labels > h.j, labels - 1, labels)
+        else:
+            moved = (labels == h.i) | (labels == h.j)
+            labels = np.where(labels > h.j, labels - 1, labels)
+            labels[moved] = np.argmax(_component_log_pdf(cur, points[moved]), axis=1) + 1
+    return labels
+
+
+def test_reassign_matches_apply_replay_at_benchmark_size():
+    ds = generate_corrupted_data(1000, 100, seed=26)
+    mixture, resp = em_fit(ds.points, EMConfig(n_clusters=15, max_iters=150, seed=8))
+    kinds_seen = set()
+    for kind in (CostKind.ARKL_FULL, CostKind.RUNNALLS_B):
+        _, assigned, trace = reduce_and_reassign(mixture, resp, ds.points, 6, kind)
+        kinds_seen |= {type(s.chosen) for s in trace.steps}
+        assert np.array_equal(assigned.labels, _apply_replay_labels(mixture, resp, ds.points, trace))
+    assert kinds_seen == {Prune, Merge}

@@ -23,7 +23,16 @@ from gmreduce import (
     moment_match_merge,
     product_decompose,
 )
-from gmreduce.gauss import ComponentArrays, _weighted_log_pdfs, log_pdf, pdf
+from gmreduce.gauss import (
+    _EXP_FLOOR,
+    ComponentArrays,
+    _exp_ftz,
+    _log_sum_exp,
+    _solve_lower,
+    _weighted_log_pdfs,
+    log_pdf,
+    pdf,
+)
 
 
 def test_log_pdf_matches_scipy():
@@ -328,3 +337,65 @@ def test_cached_factorization_consistent():
     c = random_component(rng, 3)
     assert np.allclose(c.chol @ c.chol.T, c.cov, atol=1e-12)
     assert abs(c.log_det - math.log(np.linalg.det(c.cov))) < 1e-10
+
+
+def _solve_lower_by_middle_axis_sum(chol, rhs):
+    """The forward substitution that sums each row over a middle axis, kept as an oracle."""
+    out = np.empty(rhs.shape)
+    for r in range(rhs.shape[1]):
+        acc = rhs[:, r] - np.sum(chol[:, r, :r, None] * out[:, :r], axis=1)
+        out[:, r] = acc / chol[:, r, r, None]
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_solve_lower_matches_middle_axis_sum_bit_for_bit(k):
+    rng = np.random.default_rng(700 + k)
+    # Every (P, c) pair but the largest, which would need 80 MB at k = 8.
+    for p, c in [(1, 1), (1, 3), (1, 1100), (23, 1), (23, 3), (23, 1100), (1128, 1), (1128, 3)]:
+        a = rng.normal(size=(p, k, k))
+        chol = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(k))
+        rhs = rng.normal(size=(p, k, c))
+        for factor in (chol, chol[:1]):  # a (1, k, k) factor broadcasts over the stack
+            got = _solve_lower(factor, rhs)
+            want = _solve_lower_by_middle_axis_sum(factor, rhs)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _log_sum_exp_unflushed(log_terms):
+    top = log_terms.max(axis=1, keepdims=True)
+    top[np.isneginf(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.sum(np.exp(log_terms - top), axis=1, keepdims=True))
+
+
+def test_exp_ftz_flushes_below_floor_only():
+    x = np.array([0.0, -1.0, _EXP_FLOOR, np.nextafter(_EXP_FLOOR, 0.0), -700.5, -720.0, -800.0, -np.inf, np.nan])
+    got = _exp_ftz(x)
+    assert np.array_equal(got[:4], np.exp(x[:4]))
+    assert np.min(got[:4]) >= math.exp(_EXP_FLOOR) > 1e-305
+    assert np.array_equal(got[4:8], np.zeros(4))
+    assert np.isnan(got[8])
+
+
+def test_log_sum_exp_matches_unflushed_formula_bit_for_bit():
+    rng = np.random.default_rng(701)
+    n, k = 400, 15
+    top = rng.uniform(-50.0, 50.0, (n, 1))
+    # Offsets from each row's maximum: normal results, results that would
+    # be subnormal (-720), that underflow (-800), near the floor, and -inf.
+    offsets = rng.choice(
+        [-0.5, -3.0, -40.0, -699.9, -700.1, -720.0, -745.0, -800.0, -np.inf], size=(n, k)
+    ) * rng.uniform(0.99, 1.01, (n, k))
+    offsets[:, 0] = 0.0
+    log_terms = top + offsets
+    assert np.any((log_terms - top > -745.2) & (log_terms - top < _EXP_FLOOR))
+    got = _log_sum_exp(log_terms)
+    want = _log_sum_exp_unflushed(log_terms)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    edge = np.array([[-np.inf] * 3, [0.0, np.nan, -1.0], [-1000.0, -1720.0, -np.inf]])
+    got = _log_sum_exp(edge)[:, 0]
+    assert np.isneginf(got[0])
+    assert np.isnan(got[1])
+    assert got[2] == _log_sum_exp_unflushed(edge)[2, 0] == -1000.0
