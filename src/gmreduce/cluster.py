@@ -46,6 +46,11 @@ __all__ = [
 DISCARDED = -1
 SPURIOUS = 0
 
+# A covariance that fails to factorize is bumped by multiples of _JITTER times
+# the mean per-coordinate data variance, at most _MAX_JITTER_RETRIES times.
+_JITTER = 1e-6
+_MAX_JITTER_RETRIES = 3
+
 
 class EMError(RuntimeError):
     """EM could not produce a usable mixture (degenerate fit or bad input)."""
@@ -125,26 +130,21 @@ class EMConfig:
     """Settings for :func:`em_fit`.
 
     ``tol`` is the total log-likelihood improvement below which the
-    iteration stops.  ``jitter`` scales the mean per-coordinate data
-    variance to give the diagonal bump applied when a covariance update
-    fails to factorize; at most ``max_jitter_retries`` bumps are applied
-    per component per iteration before the fit is abandoned.
+    iteration stops.
     """
 
     n_clusters: int
     max_iters: int = 500
     tol: float = 1e-6
     seed: int | None = None
-    jitter: float = 1e-6
-    max_jitter_retries: int = 3
 
     def __post_init__(self):
         if self.n_clusters < 1:
             raise ValueError(f"n_clusters must be at least 1, got {self.n_clusters}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.tol < 0.0 or self.jitter < 0.0:
-            raise ValueError("tol and jitter must be nonnegative")
+        if self.tol < 0.0:
+            raise ValueError(f"tol must be nonnegative, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +236,7 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     var_scale = float(np.mean(np.var(points, axis=0)))
     if var_scale <= 0.0:
         var_scale = 1.0
-    eps = cfg.jitter * var_scale
+    eps = _JITTER * var_scale
     means = _seed_means(points, k, rng)
     covs = np.tile(var_scale * np.eye(dim), (k, 1, 1))
     weights = np.full(k, 1.0 / k)
@@ -248,7 +248,7 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     reinit_events = 0
     converged = False
     for it in range(cfg.max_iters):
-        covs, chols, log_dets, bumps = _factorize(covs, eps, cfg.max_jitter_retries)
+        covs, chols, log_dets, bumps = _factorize(covs, eps, _MAX_JITTER_RETRIES)
         jitter_events += int(bumps.sum())
         log_terms = _weighted_log_pdfs(ComponentArrays(weights, means, covs, chols, log_dets), points)
         log_norm = _log_sum_exp(log_terms)
@@ -278,7 +278,7 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
             perturbed.append(it)
         weights = counts / counts.sum()
 
-    covs, _, _, bumps = _factorize(covs, eps, cfg.max_jitter_retries)
+    covs, _, _, bumps = _factorize(covs, eps, _MAX_JITTER_RETRIES)
     jitter_events += int(bumps.sum())
     mixture = GaussianMixture.from_arrays(weights / weights.sum(), means, covs)
     # Responsibilities always correspond to the returned parameters (the

@@ -34,7 +34,7 @@ def envelope_1d(*mixtures: GaussianMixture) -> tuple[float, float]:
     return lo, hi
 
 
-def kld_quad(p: GaussianMixture, q: GaussianMixture, epsabs: float = QUAD_EPSABS) -> tuple[float, bool]:
+def kld_quad(p: GaussianMixture, q: GaussianMixture) -> tuple[float, bool]:
     """D(p || q) between 1-D mixtures by adaptive quadrature.
 
     Returns the integral and a convergence flag; the flag is False when
@@ -62,8 +62,8 @@ def kld_quad(p: GaussianMixture, q: GaussianMixture, epsabs: float = QUAD_EPSABS
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", integrate.IntegrationWarning)
         value, abserr = integrate.quad(
-            integrand, lo, hi, epsabs=epsabs, epsrel=0.0, limit=400, points=breaks
+            integrand, lo, hi, epsabs=QUAD_EPSABS, epsrel=0.0, limit=400, points=breaks
         )
     warned = any(issubclass(w.category, integrate.IntegrationWarning) for w in caught)
-    converged = (not warned) and abserr <= 100.0 * epsabs
+    converged = (not warned) and abserr <= 100.0 * QUAD_EPSABS
     return float(value), converged

@@ -29,9 +29,9 @@ definition, :func:`gmreduce.mixture._apply`, which
 :func:`gmreduce.mixture.apply` uses too, and updates the table in place:
 row and column j of every cached matrix are deleted, a merge overwrites
 row and column i with the new component's statistics as one batch, and
-the weight-dependent costs are reassembled from the kernels under the
-renormalized weights, as array expressions over the upper triangle.  The
-output mixture is built once, from the components after the last step.
+every pair is repriced from the kernels under the renormalized weights
+in one elementwise expression over the whole matrix (+inf marks what is
+not a live pair).  The output mixture is built once, at the end.
 This keeps the divergence-based methods at O(N^2) primitive evaluations
 for a full N -> 1 reduction.  The squared-error method re-evaluates
 every candidate merge's overlaps with the surviving components each
@@ -46,7 +46,8 @@ and recorded in the trace; the other pairs of its batch are unaffected.
 
 :func:`reference_reduce` recomputes every cost from scratch through the
 public per-hypothesis cost functions, which are batches of one over the
-same kernels, so the two engines share one definition of each cost.
+same kernels, so the two engines share one definition of each cost,
+except the squared-error one, priced as ``ise_analytic(m, apply(m, h))``.
 """
 
 from __future__ import annotations
@@ -129,15 +130,15 @@ class CostTable:
     """The whole state of the greedy engine: the current components and their costs.
 
     ``arr`` holds the current components in canonical order.
-    ``pair_cost[i0, j0]`` (0-based, upper triangle) is the current cost
-    of merging that pair and ``prune_cost[j0]`` the current cost of the
-    corresponding prune (``None`` for the merge-only method).
+    ``pair_cost[i0, j0]`` (0-based, upper triangle, +inf elsewhere) is
+    the current cost of merging that pair and ``prune_cost[j0]`` that of
+    the corresponding prune (``None`` for the merge-only method).
     ``pairwise_kld[a, b]`` holds D(component a || component b) for the
     refined prune cost; ``gram`` holds pairwise overlap integrals for
     the squared-error method.  ``kernel_a``/``kernel_b`` are the per-pair
-    weight-independent merge kernels, and ``degenerate`` marks pairs
-    whose merge kernels could not be evaluated (their cost is pinned at
-    +inf).  :func:`update_cost_table` advances every field in place.
+    weight-independent merge kernels, +inf off the upper triangle and at
+    the pairs marked ``degenerate``, whose kernels could not be evaluated.
+    :func:`update_cost_table` advances every field in place.
     """
 
     kind: CostKind
@@ -156,9 +157,8 @@ class CostTable:
 
 
 def _mark_degenerate(table: CostTable, bad_i: np.ndarray, bad_j: np.ndarray) -> list[Merge]:
-    """Pin the merges of pairs (bad_i[p], bad_j[p]) at +inf and return them (1-based)."""
+    """Flag pairs (bad_i[p], bad_j[p]), already priced +inf, degenerate; return their merges (1-based)."""
     table.degenerate[bad_i, bad_j] = True
-    table.pair_cost[bad_i, bad_j] = np.inf
     return [Merge(int(i) + 1, int(j) + 1) for i, j in zip(bad_i, bad_j)]
 
 
@@ -166,11 +166,11 @@ def _fill_pair_kernels(table: CostTable, i0: np.ndarray, j0: np.ndarray, counter
     """Evaluate the merge kernels of pairs (i0[p], j0[p]), i0 < j0, as one batch.
 
     Two evaluations per pair, billed only when the pair's kernels are
-    valid; the other pairs are marked degenerate and returned.
+    valid; the others get +inf kernels, are marked degenerate and returned.
     """
     k_a, k_b, ok = _merge_kernels(table.kind, table.arr.take(i0), table.arr.take(j0))
-    table.kernel_a[i0, j0] = k_a
-    table.kernel_b[i0, j0] = k_b
+    table.kernel_a[i0, j0] = np.where(ok, k_a, np.inf)
+    table.kernel_b[i0, j0] = np.where(ok, k_b, np.inf)
     _bill(counter, _KERNEL_FIELD[table.kind], 2 * int(np.count_nonzero(ok)))
     return _mark_degenerate(table, i0[~ok], j0[~ok])
 
@@ -178,25 +178,22 @@ def _fill_pair_kernels(table: CostTable, i0: np.ndarray, j0: np.ndarray, counter
 def _refresh(table: CostTable, counter: EvalCounter | None) -> list[Merge]:
     """Reassemble every prune cost and the cost of every live pair under the current weights.
 
-    The divergence methods combine the cached kernels with the weights.
-    The squared-error method evaluates each candidate merge's overlaps
-    with the n current components, n + 1 per live pair, and returns the
-    pairs newly found degenerate.
+    The divergence methods price the whole matrix from the cached
+    kernels.  The squared-error method evaluates each candidate merge's
+    overlaps with the n current components, n + 1 per live pair, and
+    returns the pairs newly found degenerate.
     """
     kind, arr = table.kind, table.arr
     n, w = len(arr), arr.weights
-    iu, ju = np.triu_indices(n, k=1)
-    live = ~table.degenerate[iu, ju]
-    iu, ju = iu[live], ju[live]
     if kind is CostKind.WILLIAMS_ISE:
+        iu, ju = np.nonzero(np.triu(~table.degenerate, k=1))
         s, t = _gram_stats(w, table.gram)
         table.prune_cost[:] = _prune_ise_from_gram(w, table.gram, s, t, np.arange(n))
         costs, ok = _williams_merge_costs(arr, table.gram, s, t, iu, ju)
         _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
         table.pair_cost[iu, ju] = costs
         return _mark_degenerate(table, iu[~ok], ju[~ok])
-    kernels = table.kernel_a[iu, ju], table.kernel_b[iu, ju]
-    table.pair_cost[iu, ju] = _pair_costs(kind, w[iu], w[ju], *kernels)
+    table.pair_cost = _pair_costs(kind, w[:, None], w, table.kernel_a, table.kernel_b)
     if kind is CostKind.ARKL_SIMPLE:
         table.prune_cost[:] = _crude_prune(w)
     elif kind is CostKind.ARKL_FULL:
@@ -235,7 +232,7 @@ def build_cost_table(
     if kind is CostKind.ARKL_FULL:
         table.pairwise_kld = _kld_matrix(arr)
         _bill(counter, "kld", n * (n - 1))
-    table.kernel_a, table.kernel_b = np.full((n, n), np.nan), np.full((n, n), np.nan)
+    table.kernel_a, table.kernel_b = np.full((n, n), np.inf), np.full((n, n), np.inf)
     return table, _fill_pair_kernels(table, *np.triu_indices(n, k=1), counter) + _refresh(table, counter)
 
 
@@ -311,21 +308,6 @@ class ReductionTrace:
     skipped: tuple[tuple[int, Merge], ...] = ()
 
 
-def _canonical_order(table: CostTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every hypothesis's cost in canonical order, and its 1-based (i, j); a prune has i = 0."""
-    n = table.size
-    iu, ju = np.triu_indices(n, k=1)
-    costs, i, j = table.pair_cost[iu, ju], iu + 1, ju + 1
-    if table.prune_cost is not None:
-        costs = np.concatenate([table.prune_cost, costs])
-        i, j = np.concatenate([np.zeros(n, dtype=int), i]), np.concatenate([np.arange(1, n + 1), j])
-    return costs, i, j
-
-
-def _hypothesis(i: int, j: int) -> Hypothesis:
-    return Prune(j) if i == 0 else Merge(i, j)
-
-
 def reduce(
     m: GaussianMixture, target: int, kind: CostKind, record_all_costs: bool = False
 ) -> tuple[GaussianMixture, ReductionTrace]:
@@ -346,15 +328,21 @@ def reduce(
     table, degenerate = build_cost_table(m, kind, counter)
     while True:
         skipped.extend((len(steps), h) for h in degenerate)
-        costs_arr, hyp_i, hyp_j = _canonical_order(table)
-        pick = int(np.argmin(costs_arr))
-        cost = float(costs_arr[pick])
+        # Canonical order: ties go to prunes, then to the first pair in row-major order.
+        i, j = divmod(int(np.argmin(table.pair_cost)), table.size)
+        cost = float(table.pair_cost[i, j])
+        if table.prune_cost is not None and table.prune_cost.min() <= cost:
+            j = int(np.argmin(table.prune_cost))
+            i, cost = -1, float(table.prune_cost[j])
         if not np.isfinite(cost):
             raise np.linalg.LinAlgError("every admissible hypothesis is degenerate")
-        chosen = _hypothesis(int(hyp_i[pick]), int(hyp_j[pick]))
+        chosen = Prune(j + 1) if i < 0 else Merge(i + 1, j + 1)
         all_costs = None
         if record_all_costs:
-            all_costs = {_hypothesis(i, j): c for i, j, c in zip(hyp_i.tolist(), hyp_j.tolist(), costs_arr.tolist())}
+            iu, ju = np.triu_indices(table.size, k=1)
+            prunes = [] if table.prune_cost is None else table.prune_cost.tolist()
+            all_costs = {Prune(k + 1): c for k, c in enumerate(prunes)}
+            all_costs.update(zip(map(Merge, (iu + 1).tolist(), (ju + 1).tolist()), table.pair_cost[iu, ju].tolist()))
         flags = ("negative_cost",) if cost < 0.0 else ()
         steps.append(TraceStep(chosen, cost, table.size - 1, flags, all_costs))
         per_step.append(counter.total - sum(per_step))
@@ -370,8 +358,8 @@ def _naive_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, counter: Eval
 
     Goes through the public per-hypothesis cost functions, which are
     batches of one over the kernels the cached engine uses, so values
-    agree with it bit for bit wherever the inputs do.  A degenerate
-    merge costs +inf and is not billed.
+    agree with it bit for bit wherever the inputs do; squared-error
+    values only to rounding.  A degenerate merge costs +inf, unbilled.
     """
     n = m.size
     if kind is CostKind.WILLIAMS_ISE:

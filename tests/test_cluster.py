@@ -94,8 +94,6 @@ def test_em_config_validation():
         EMConfig(n_clusters=2, max_iters=0)
     with pytest.raises(ValueError):
         EMConfig(n_clusters=2, tol=-1.0)
-    with pytest.raises(ValueError):
-        EMConfig(n_clusters=2, jitter=-1e-9)
 
 
 def test_em_single_component_recovers_sample_moments():
@@ -166,11 +164,11 @@ def test_em_error_conditions():
         em_fit(np.zeros(7), EMConfig(n_clusters=1))
 
 
-def test_em_identical_points_rescued_by_jitter():
+def test_em_identical_points_rescued_by_jitter(monkeypatch):
     """A zero sample covariance is bumped rather than aborting the fit.
 
     The variance scale falls back to 1 for constant data, so the bump
-    is the configured jitter itself.
+    is the jitter constant itself.
     """
     pts = np.ones((20, 2))
     fit = em_fit_details(pts, EMConfig(n_clusters=2, seed=0))
@@ -180,8 +178,9 @@ def test_em_identical_points_rescued_by_jitter():
         assert np.allclose(comp.cov, 1e-6 * np.eye(2))
         assert np.allclose(comp.mean, [1.0, 1.0])
     # With the bump disabled the degenerate covariance is fatal.
+    monkeypatch.setattr(cluster, "_JITTER", 0.0)
     with pytest.raises(EMError):
-        em_fit(pts, EMConfig(n_clusters=2, seed=0, jitter=0.0))
+        em_fit(pts, EMConfig(n_clusters=2, seed=0))
 
 
 def test_factorizable_jitter_retries():
@@ -209,10 +208,10 @@ def _loop_em_fit(points, cfg):
     var_scale = float(np.mean(np.var(points, axis=0)))
     if var_scale <= 0.0:
         var_scale = 1.0
-    eps = cfg.jitter * var_scale
+    eps = cluster._JITTER * var_scale
 
     def factorizable(weight, mean, cov):
-        for attempt in range(cfg.max_jitter_retries + 1):
+        for attempt in range(cluster._MAX_JITTER_RETRIES + 1):
             try:
                 return GaussianComponent(weight, mean, cov + attempt * eps * np.eye(dim)), attempt
             except np.linalg.LinAlgError:

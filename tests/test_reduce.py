@@ -121,6 +121,24 @@ def test_replaying_a_trace_with_apply_reproduces_reduce(m):
         assert np.array_equal(got.chol, want.chol) and got.log_det == want.log_det
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_cached_engine_equals_reference_engine(size, dim, seed):
+    """Same choices, flags and skips as the from-scratch engine, costs to rounding, outputs bit for bit."""
+    m = random_mixture(np.random.default_rng(seed), size, dim)
+    for kind in ALL_KINDS:
+        fast, fast_trace = reduce(m, 1, kind)
+        slow, slow_trace = reference_reduce(m, 1, kind)
+        assert [s.chosen for s in fast_trace.steps] == [s.chosen for s in slow_trace.steps]
+        assert [s.flags for s in fast_trace.steps] == [s.flags for s in slow_trace.steps]
+        assert fast_trace.skipped == slow_trace.skipped
+        for fs, ss in zip(fast_trace.steps, slow_trace.steps):
+            assert fs.cost == pytest.approx(ss.cost, rel=1e-9, abs=1e-12)
+        assert _mixtures_equal(fast, slow)
+        (got,), (want,) = fast.components, slow.components
+        assert np.array_equal(got.chol, want.chol) and got.log_det == want.log_det
+
+
 def test_reduce_noop_when_target_equals_size():
     rng = np.random.default_rng(72)
     m = random_mixture(rng, 4, 1)
@@ -309,6 +327,22 @@ def test_duplicate_pair_prefers_prune_on_tie():
     _, trace = reduce(m, 1, CostKind.ARKL_FULL)
     assert trace.steps[0].chosen == Prune(1)
     assert trace.steps[0].cost == 0.0
+
+
+def test_tied_merges_go_to_the_first_pair_and_never_to_the_diagonal():
+    """Identical components merge at cost 0: the lexicographically first pair wins.
+
+    A component paired with itself would also price at 0, so the pick
+    must only ever see the live upper triangle of the pair matrix.
+    """
+    x = ([1.0, -0.5], [[1.5, 0.3], [0.3, 0.8]])
+    y = ([-2.0, 2.5], [[0.6, -0.1], [-0.1, 1.2]])
+    cases = (((x, y, x), (0.3, 0.4, 0.3), Merge(1, 3)), ((x, x, x), (1 / 3, 1 / 3, 1 / 3), Merge(1, 2)))
+    for kind in (CostKind.RUNNALLS_B, CostKind.ARKL_FULL, CostKind.ARKL_SIMPLE):
+        for parts, weights, want in cases:
+            m = GaussianMixture.from_arrays(np.array(weights), *zip(*parts))
+            for engine in (reduce, reference_reduce):
+                assert engine(m, 2, kind)[1].steps[0].chosen == want
 
 
 def test_counter_total():
