@@ -183,22 +183,29 @@ def load_trace(path: str) -> tuple[CostKind, list[Hypothesis], GaussianMixture]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} is not a valid trace file: the top level is not an object")
     try:
         method = CostKind(doc["method"])
         raw_steps = doc["steps"]
         final = mixture_from_doc(doc["final_mixture"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path} is not a valid trace file: {exc}") from None
+    if not isinstance(raw_steps, list):
+        raise ValueError(f"{path} is not a valid trace file: steps is not a list")
     hyps: list[Hypothesis] = []
     for pos, step in enumerate(raw_steps, start=1):
-        action = step.get("action")
-        indices = step.get("indices", [])
-        if action == "prune" and len(indices) == 1:
-            hyps.append(Prune(int(indices[0])))
-        elif action == "merge" and len(indices) == 2:
-            hyps.append(Merge(int(indices[0]), int(indices[1])))
-        else:
-            raise ValueError(f"{path}: step {pos} is malformed")
+        try:
+            action = step.get("action")
+            indices = step.get("indices", [])
+            if action == "prune" and len(indices) == 1:
+                hyps.append(Prune(int(indices[0])))
+            elif action == "merge" and len(indices) == 2:
+                hyps.append(Merge(int(indices[0]), int(indices[1])))
+            else:
+                raise ValueError
+        except (TypeError, ValueError, AttributeError):
+            raise ValueError(f"{path}: step {pos} is malformed") from None
     return method, hyps, final
 
 

@@ -6,7 +6,7 @@ kernels take two :class:`~gmreduce.gauss.ComponentArrays` stacks aligned
 row by row -- for index lists I, J, ``arr.take(I)`` and ``arr.take(J)``
 -- and evaluate all rows in stacked numpy calls: the moment matches,
 the merge kernels of ``runnalls``, ``arkl-simple`` and ``arkl``
-(:func:`_merge_kernels`), the divergence matrix (:func:`_kld_matrix`)
+(:func:`_merge_kernels`), divergences (:func:`~gmreduce.gauss._whiten`)
 and Gaussian overlaps (:func:`_overlaps`).  The public scalar functions
 are batches of one over these kernels and both reduction engines call
 them, so each cost has one definition.
@@ -310,15 +310,6 @@ def _merge_cost(kind: CostKind, a: GaussianComponent, b: GaussianComponent) -> f
     if not ok[0]:
         raise np.linalg.LinAlgError("the pair's merge kernels overflow or fail to factorize")
     return float(_pair_costs(kind, sa.weights, sb.weights, k_a, k_b)[0])
-
-
-def _kld_matrix(arr: ComponentArrays) -> np.ndarray:
-    """D(q_a || q_b) for every ordered pair of distinct rows; zero diagonal."""
-    n = len(arr)
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
-    out = np.zeros((n, n))
-    out[rows, cols] = _whiten(arr.take(rows), arr.take(cols))[0]
-    return out
 
 
 # ---------------------------------------------------------------------------

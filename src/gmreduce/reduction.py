@@ -24,14 +24,17 @@ weight-independent part of each cost:
 * the Gram matrix of pairwise overlap integrals for the squared-error
   method.
 
-A step moves the table's components through the one prune/merge
-definition, :func:`gmreduce.mixture._apply`, which
+The cached statistics have one fill path, :func:`_fill`: given a mask
+of fresh components, it evaluates every statistic of every pair that
+touches one, one batch per statistic.  A build is a fill in which every
+component is fresh.  A step moves the table's components through the
+one prune/merge definition, :func:`gmreduce.mixture._apply`, which
 :func:`gmreduce.mixture.apply` uses too, and updates the table in place:
-row and column j of every cached matrix are deleted, a merge overwrites
-row and column i with the new component's statistics as one batch, and
-every pair is repriced from the kernels under the renormalized weights
-in one elementwise expression over the whole matrix (+inf marks what is
-not a live pair).  The output mixture is built once, at the end.
+row and column j of every cached matrix are deleted, a merge fills the
+pairs of the merged component i with only i fresh, and every pair is
+repriced from the kernels under the renormalized weights in one
+elementwise expression over the whole matrix (+inf marks what is not a
+live pair).  The output mixture is built once, at the end.
 This keeps the divergence-based methods at O(N^2) primitive evaluations
 for a full N -> 1 reduction.  The squared-error method re-evaluates
 every candidate merge's overlaps with the surviving components each
@@ -41,8 +44,11 @@ evaluation, done as one stacked call per component so that memory stays
 proportional to the number of pairs.
 
 A merge candidate whose moment match overflows or fails to factorize, or
-whose merge exponents are not finite, is assigned +inf cost, skipped,
-and recorded in the trace; the other pairs of its batch are unaffected.
+whose merge exponents are not finite, is assigned +inf cost and marked
+in the table's ``degenerate`` matrix; the other pairs of its batch are
+unaffected.  Each step reads the merges it skipped off that matrix, so
+a degenerate pair is recorded at every step it survives, as the
+reference engine records it.
 
 :func:`reference_reduce` recomputes every cost from scratch through the
 public per-hypothesis cost functions, which are batches of one over the
@@ -62,7 +68,6 @@ from .costs import (
     _arkl_prune_terms,
     _crude_prune,
     _gram_stats,
-    _kld_matrix,
     _merge_kernels,
     _overlaps,
     _pair_costs,
@@ -137,8 +142,8 @@ class CostTable:
     refined prune cost; ``gram`` holds pairwise overlap integrals for
     the squared-error method.  ``kernel_a``/``kernel_b`` are the per-pair
     weight-independent merge kernels, +inf off the upper triangle and at
-    the pairs marked ``degenerate``, whose kernels could not be evaluated.
-    :func:`update_cost_table` advances every field in place.
+    the pairs marked ``degenerate``: the upper pairs whose merge cannot
+    be priced.  :func:`update_cost_table` advances every field in place.
     """
 
     kind: CostKind
@@ -156,49 +161,58 @@ class CostTable:
         return self.pair_cost.shape[0]
 
 
-def _mark_degenerate(table: CostTable, bad_i: np.ndarray, bad_j: np.ndarray) -> list[Merge]:
-    """Flag pairs (bad_i[p], bad_j[p]), already priced +inf, degenerate; return their merges (1-based)."""
-    table.degenerate[bad_i, bad_j] = True
-    return [Merge(int(i) + 1, int(j) + 1) for i, j in zip(bad_i, bad_j)]
+def _fill(table: CostTable, fresh: np.ndarray, counter: EvalCounter | None) -> None:
+    """Evaluate every cached statistic of a pair touching a component in the mask ``fresh``.
 
-
-def _fill_pair_kernels(table: CostTable, i0: np.ndarray, j0: np.ndarray, counter: EvalCounter | None) -> list[Merge]:
-    """Evaluate the merge kernels of pairs (i0[p], j0[p]), i0 < j0, as one batch.
-
-    Two evaluations per pair, billed only when the pair's kernels are
-    valid; the others get +inf kernels, are marked degenerate and returned.
+    One batch per statistic: Gram entries on and above the diagonal, or
+    ordered pairwise divergences and upper-triangle merge kernels.  A
+    pair whose kernels cannot be evaluated gets +inf kernels and is
+    marked degenerate; the others are unmarked.  Bills one unit per Gram
+    entry and per divergence, two per pair with valid kernels.
     """
-    k_a, k_b, ok = _merge_kernels(table.kind, table.arr.take(i0), table.arr.take(j0))
+    arr = table.arr
+    rows, cols = np.nonzero(fresh[:, None] | fresh)
+    if table.gram is not None:
+        gi, gj = rows[rows <= cols], cols[rows <= cols]
+        table.gram[gi, gj] = table.gram[gj, gi] = _overlaps(arr.take(gi), arr.take(gj))
+        _bill(counter, "overlap", gi.size)
+        return
+    if table.pairwise_kld is not None:
+        a, b = rows[rows != cols], cols[rows != cols]
+        table.pairwise_kld[a, b] = _whiten(arr.take(a), arr.take(b))[0]
+        _bill(counter, "kld", a.size)
+    i0, j0 = rows[rows < cols], cols[rows < cols]
+    k_a, k_b, ok = _merge_kernels(table.kind, arr.take(i0), arr.take(j0))
     table.kernel_a[i0, j0] = np.where(ok, k_a, np.inf)
     table.kernel_b[i0, j0] = np.where(ok, k_b, np.inf)
+    table.degenerate[i0, j0] = ~ok
     _bill(counter, _KERNEL_FIELD[table.kind], 2 * int(np.count_nonzero(ok)))
-    return _mark_degenerate(table, i0[~ok], j0[~ok])
 
 
-def _refresh(table: CostTable, counter: EvalCounter | None) -> list[Merge]:
-    """Reassemble every prune cost and the cost of every live pair under the current weights.
+def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
+    """Reassemble every prune cost and the cost of every upper pair under the current weights.
 
     The divergence methods price the whole matrix from the cached
     kernels.  The squared-error method evaluates each candidate merge's
-    overlaps with the n current components, n + 1 per live pair, and
-    returns the pairs newly found degenerate.
+    overlaps with the n current components, n + 1 per valid pair, and
+    marks degenerate exactly the pairs whose moment match fails.
     """
     kind, arr = table.kind, table.arr
     n, w = len(arr), arr.weights
     if kind is CostKind.WILLIAMS_ISE:
-        iu, ju = np.nonzero(np.triu(~table.degenerate, k=1))
+        iu, ju = np.triu_indices(n, k=1)
         s, t = _gram_stats(w, table.gram)
         table.prune_cost[:] = _prune_ise_from_gram(w, table.gram, s, t, np.arange(n))
         costs, ok = _williams_merge_costs(arr, table.gram, s, t, iu, ju)
-        _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
         table.pair_cost[iu, ju] = costs
-        return _mark_degenerate(table, iu[~ok], ju[~ok])
+        table.degenerate[iu, ju] = ~ok
+        _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
+        return
     table.pair_cost = _pair_costs(kind, w[:, None], w, table.kernel_a, table.kernel_b)
     if kind is CostKind.ARKL_SIMPLE:
         table.prune_cost[:] = _crude_prune(w)
     elif kind is CostKind.ARKL_FULL:
         table.prune_cost[:] = _arkl_prune_terms(w, table.pairwise_kld, np.arange(n)).min(axis=0)
-    return []
 
 
 def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = None) -> None:
@@ -211,29 +225,22 @@ def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = No
         raise ValueError("reduction requires a normalized mixture")
 
 
-def build_cost_table(
-    m: GaussianMixture, kind: CostKind, counter: EvalCounter | None = None
-) -> tuple[CostTable, list[Merge]]:
-    """Evaluate all hypothesis costs for ``m`` from scratch.
-
-    Returns the table and the merges found degenerate (1-based).
-    """
+def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | None = None) -> CostTable:
+    """Evaluate all hypothesis costs for ``m`` from scratch: a fill with every component fresh."""
     _check_arguments(m, kind)
     n = m.size
     prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n, np.inf)
     arr = ComponentArrays.of(m.components)
     table = CostTable(kind, arr, np.full((n, n), np.inf), prune_cost, np.zeros((n, n), dtype=bool))
     if kind is CostKind.WILLIAMS_ISE:
-        gi, gj = np.triu_indices(n)
         table.gram = np.empty((n, n))
-        table.gram[gi, gj] = table.gram[gj, gi] = _overlaps(arr.take(gi), arr.take(gj))
-        _bill(counter, "overlap", gi.size)
-        return table, _refresh(table, counter)
+    else:
+        table.kernel_a, table.kernel_b = np.full((n, n), np.inf), np.full((n, n), np.inf)
     if kind is CostKind.ARKL_FULL:
-        table.pairwise_kld = _kld_matrix(arr)
-        _bill(counter, "kld", n * (n - 1))
-    table.kernel_a, table.kernel_b = np.full((n, n), np.inf), np.full((n, n), np.inf)
-    return table, _fill_pair_kernels(table, *np.triu_indices(n, k=1), counter) + _refresh(table, counter)
+        table.pairwise_kld = np.zeros((n, n))
+    _fill(table, np.ones(n, dtype=bool), counter)
+    _refresh(table, counter)
+    return table
 
 
 def _delete_rc(table: CostTable, idx: int) -> None:
@@ -246,33 +253,21 @@ def _delete_rc(table: CostTable, idx: int) -> None:
             setattr(table, name, cached[grid if cached.ndim == 2 else keep])
 
 
-def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounter | None = None) -> list[Merge]:
+def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounter | None = None) -> None:
     """Advance a cost table in place across one applied hypothesis.
 
     The table's components move one step through :func:`mixture._apply`,
-    row and column j of every cached matrix are deleted, and for a merge
-    row and column i are overwritten with the merged component's
-    statistics, evaluated as one batch each.  Every other kernel,
-    pairwise divergence and Gram entry is carried over.  Returns the
-    merges newly found degenerate (1-based).
+    row and column j of every cached matrix are deleted, and a merge
+    refills the pairs of the merged component i (:func:`_fill` with only
+    i fresh).  Every other kernel, pairwise divergence and Gram entry is
+    carried over.
     """
     table.arr = mix._apply(table.arr, applied)
     _delete_rc(table, applied.j - 1)
-    if isinstance(applied, Prune):
-        return _refresh(table, counter)
-    i, arr = applied.i - 1, table.arr
-    others = np.flatnonzero(np.arange(len(arr)) != i)
-    merged = arr.take([i])
-    table.degenerate[i, :] = table.degenerate[:, i] = False
-    if table.gram is not None:
-        table.gram[i, :] = table.gram[:, i] = _overlaps(arr, merged)
-        _bill(counter, "overlap", len(arr))
-        return _refresh(table, counter)
-    if table.pairwise_kld is not None:
-        table.pairwise_kld[others, i] = _whiten(arr.take(others), merged)[0]
-        table.pairwise_kld[i, others] = _whiten(merged, arr.take(others))[0]
-        _bill(counter, "kld", 2 * others.size)
-    return _fill_pair_kernels(table, np.minimum(others, i), np.maximum(others, i), counter) + _refresh(table, counter)
+    # A prune adds no component, and `arkl` kernels cannot take an empty batch.
+    if isinstance(applied, Merge):
+        _fill(table, np.arange(table.size) == applied.i - 1, counter)
+    _refresh(table, counter)
 
 
 @dataclass(frozen=True)
@@ -296,9 +291,10 @@ class TraceStep:
 class ReductionTrace:
     """Full record of a greedy reduction, sufficient to replay it.
 
-    ``skipped`` lists (step index, merge) pairs that were excluded with
-    +inf cost because the candidate covariance failed to factorize.
-    Step indices are 0-based positions into ``steps``.
+    ``skipped`` lists (step index, merge) pairs: every merge excluded as
+    degenerate at that step, listed at each step it survives.  Step
+    indices are 0-based positions into ``steps``; merge indices are
+    those of the mixture at that step.
     """
 
     method: CostKind
@@ -325,9 +321,10 @@ def reduce(
     steps: list[TraceStep] = []
     per_step: list[int] = []
     skipped: list[tuple[int, Merge]] = []
-    table, degenerate = build_cost_table(m, kind, counter)
+    table = build_cost_table(m, kind, counter)
     while True:
-        skipped.extend((len(steps), h) for h in degenerate)
+        bad_i, bad_j = np.nonzero(table.degenerate)
+        skipped.extend((len(steps), Merge(i + 1, j + 1)) for i, j in zip(bad_i.tolist(), bad_j.tolist()))
         # Canonical order: ties go to prunes, then to the first pair in row-major order.
         i, j = divmod(int(np.argmin(table.pair_cost)), table.size)
         cost = float(table.pair_cost[i, j])
@@ -348,7 +345,7 @@ def reduce(
         per_step.append(counter.total - sum(per_step))
         if table.size - 1 == target:
             break
-        degenerate = update_cost_table(table, chosen, counter=counter)
+        update_cost_table(table, chosen, counter=counter)
     out = GaussianMixture(_components(mix._apply(table.arr, chosen)))
     return out, ReductionTrace(kind, tuple(steps), counter.total, tuple(per_step), tuple(skipped))
 

@@ -118,6 +118,22 @@ def test_trace_replays_to_final_mixture_exactly(tmp_path):
     assert mixture_to_doc(cur) == mixture_to_doc(final)
 
 
+def test_malformed_trace_documents_raise_value_error(tmp_path):
+    final = _standard_doc()
+    cases = [
+        ([{"method": "arkl", "steps": [], "final_mixture": final}], "not a valid trace file"),
+        ({"method": "arkl", "steps": 5, "final_mixture": final}, "not a valid trace file"),
+        ({"method": "arkl", "steps": [1], "final_mixture": final}, "step 1 is malformed"),
+        ({"method": "arkl", "steps": [{"action": "merge", "indices": 5}], "final_mixture": final}, "step 1 is malformed"),
+        ({"method": "arkl", "steps": [{"action": "merge", "indices": [None, 2]}], "final_mixture": final}, "step 1 is malformed"),
+    ]
+    for doc, message in cases:
+        path = _write_doc(tmp_path / "trace.json", doc)
+        with pytest.raises(ValueError, match=message) as info:
+            load_trace(path)
+        assert path in str(info.value)
+
+
 def test_divergence_identity(tmp_path, capsys):
     p = _write_doc(tmp_path / "p.json", _two_component_doc(w1=0.6, mu1=-1.0, mu2=2.0))
     code = main(["divergence", "--p", p, "--q", p, "--seed", "7"])

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import random_mixture
 from gmreduce import (
@@ -58,30 +58,54 @@ def test_incremental_matches_reference():
             assert _mixtures_equal(fast, slow)
 
 
-def test_update_table_matches_fresh_build():
+@st.composite
+def _update_cases(draw):
+    """A well-conditioned mixture of 3 to 8 components in d <= 8, a method, and a step it admits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_mixture(rng, draw(st.integers(3, 8)), draw(st.integers(1, 8)))
+    kind = draw(st.sampled_from(ALL_KINDS))
+    if kind.include_pruning and draw(st.booleans()):
+        return m, kind, Prune(draw(st.integers(1, m.size)))
+    i = draw(st.integers(1, m.size - 1))
+    return m, kind, Merge(i, draw(st.integers(i + 1, m.size)))
+
+
+def _seeded_update_cases(test):
+    """The fixed cases of the property below, as explicit examples."""
     rng = np.random.default_rng(71)
     for dim in (2, 1, 4, 8):
         m = random_mixture(rng, 5, dim)
         for kind in ALL_KINDS:
             for h in (Prune(2), Merge(1, 3)):
-                if isinstance(h, Prune) and not kind.include_pruning:
-                    continue
-                updated, _ = build_cost_table(m, kind)
-                update_cost_table(updated, h)
-                after = apply(m, h)
-                # The table's own components took the same step as apply.
-                want = ComponentArrays.of(after.components)
-                for f in fields(want):
-                    assert np.array_equal(getattr(updated.arr, f.name), getattr(want, f.name))
-                fresh, _ = build_cost_table(after, kind)
-                # A fresh build recomputes kernels from the renormalized
-                # weights, which moves the merged moments by an ulp, so the
-                # match is near-bitwise rather than exact.
-                assert np.allclose(updated.pair_cost, fresh.pair_cost, rtol=1e-10, atol=1e-14)
-                if kind is CostKind.RUNNALLS_B:
-                    assert updated.prune_cost is None and fresh.prune_cost is None
-                else:
-                    assert np.allclose(updated.prune_cost, fresh.prune_cost, rtol=1e-10, atol=1e-14)
+                if isinstance(h, Merge) or kind.include_pruning:
+                    test = example((m, kind, h))(test)
+    return test
+
+
+@_seeded_update_cases
+@settings(max_examples=60, deadline=None)
+@given(_update_cases())
+def test_update_table_matches_fresh_build(case):
+    """An incremental update equals a fresh build of the stepped mixture."""
+    m, kind, h = case
+    updated = build_cost_table(m, kind)
+    update_cost_table(updated, h)
+    after = apply(m, h)
+    # The table's own components took the same step as apply.
+    want = ComponentArrays.of(after.components)
+    for f in fields(want):
+        assert np.array_equal(getattr(updated.arr, f.name), getattr(want, f.name))
+    fresh = build_cost_table(after, kind)
+    assert np.array_equal(updated.degenerate, fresh.degenerate)
+    # A fresh build recomputes kernels from the renormalized weights,
+    # which moves the merged moments by an ulp, so the match is
+    # near-bitwise rather than exact.
+    for name in ("pair_cost", "prune_cost", "gram", "pairwise_kld"):
+        got, wanted = getattr(updated, name), getattr(fresh, name)
+        assert (got is None) == (wanted is None)
+        if got is not None:
+            assert np.allclose(got, wanted, rtol=1e-10, atol=1e-14)
+    assert (updated.prune_cost is None) == (kind is CostKind.RUNNALLS_B)
 
 
 @st.composite
@@ -235,6 +259,13 @@ def test_degenerate_merge_is_skipped_and_recorded():
                 # The reference engine prices each hypothesis this way.
                 assert np.isfinite(cost)
                 assert cost == pytest.approx(hypothesis_cost(wide, h, kind), rel=1e-9, abs=1e-12)
+    # A degenerate pair is listed at every step it survives, by both engines.
+    for kind in ALL_KINDS:
+        fast, fast_trace = reduce(wide, 2, kind)
+        slow, slow_trace = reference_reduce(wide, 2, kind)
+        assert [s.chosen for s in fast_trace.steps] == [s.chosen for s in slow_trace.steps]
+        assert fast_trace.skipped == slow_trace.skipped
+        assert _mixtures_equal(fast, slow)
 
 
 def test_arkl_merge_with_overflowing_exponent_is_degenerate():
