@@ -6,11 +6,11 @@ prune costs reflect the reverse divergence will discard the diffuse
 low-weight components that EM spends on background clutter, and the
 points assigned to them; a merge-only method must keep every point.
 
-Each EM iteration is a fixed number of stacked numpy calls over all
-components; its weighted log-density kernel also gives the final
-responsibilities and reassigns the points of merged pairs.  Inside the
-iteration a responsibility below e^-700 counts as exactly zero, which
-keeps exp off its slow subnormal path (see :func:`gauss._exp_ftz`).
+Each EM iteration is a fixed number of stacked numpy calls on
+(component, point) arrays allocated once per fit, with one exp pass;
+its weighted log-density kernel also gives the final responsibilities
+and reassigns merged pairs' points.  In the iteration an exp below
+e^-700 is exactly zero, off exp's slow path (:func:`gauss._exp_ftz`).
 
 Labels are 1-based component indices; :data:`DISCARDED` (-1) marks
 points dropped by a prune step.  Ground-truth arrays use the same
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import mixture as mix
 from .costs import CostKind
-from .gauss import ComponentArrays, _cholesky, _exp_ftz, _log_sum_exp, _weighted_log_pdfs
+from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _exp_ftz, _log_sum_exp, _weighted_log_pdfs
 from .mixture import GaussianMixture, Merge, Prune, _apply, _component_log_pdf
 from .reduction import ReductionTrace, reduce
 
@@ -110,8 +110,8 @@ def generate_corrupted_data(n: int, m: int, side: float = 20.0, seed=None) -> La
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    if side <= 0.0:
-        raise ValueError(f"side must be positive, got {side}")
+    if not 0.0 < side < np.inf:
+        raise ValueError(f"side must be positive and finite, got {side}")
     rng = np.random.default_rng(seed)
     mixture = six_cluster_mixture()
     if n > 0:
@@ -139,12 +139,12 @@ class EMConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.n_clusters < 1:
-            raise ValueError(f"n_clusters must be at least 1, got {self.n_clusters}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.tol < 0.0:
-            raise ValueError(f"tol must be nonnegative, got {self.tol}")
+        for name in ("n_clusters", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,20 +185,19 @@ def _seed_means(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 def _factorize(covs: np.ndarray, eps: float, retries: int):
     """Cholesky factors of a (k, d, d) covariance stack, bumping the rows that fail.
 
-    A row that fails to factorize is re-tried with cov + attempt * eps * I,
-    attempt = 1 .. ``retries``; the rows that succeed are left alone.
-    Returns (covariances with the bumps applied, factors, log
-    determinants, bumps per row); raises EMError when a row still fails
-    after the last retry.
+    One stacked :func:`_cholesky`; only a row that fails is re-tried, with
+    cov + attempt * eps * I, attempt = 1 .. ``retries``.  Returns (the
+    covariances with the bumps applied, factors, log determinants, bumps
+    per row); raises EMError when a row still fails after the last retry.
     """
-    bumped = covs.copy()
-    chols = np.empty(covs.shape)
-    log_dets = np.empty(len(covs))
+    chols, log_dets, ok = _cholesky(covs)
     bumps = np.zeros(len(covs), dtype=int)
-    bad = np.arange(len(covs))
-    eye = np.eye(covs.shape[-1])
-    for attempt in range(retries + 1):
-        bumped[bad] = covs[bad] + attempt * eps * eye
+    bad = np.flatnonzero(~ok)
+    if bad.size == 0:
+        return covs, chols, log_dets, bumps
+    bumped = covs.copy()
+    for attempt in range(1, retries + 1):
+        bumped[bad] = covs[bad] + attempt * eps * np.eye(covs.shape[-1])
         chols[bad], log_dets[bad], ok = _cholesky(bumped[bad])
         bumps[bad] = attempt
         bad = bad[~ok]
@@ -213,15 +212,15 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     Expectation and maximization follow the standard Gaussian mixture
     updates; initialization uses spread-out seeded means with identity
     covariances scaled to the data variance.  Each iteration works on
-    all k components at once: one stacked factorization of the
-    covariances (bumping only the rows that fail, see
-    :func:`_factorize`), one (n, k) matrix of weighted log densities and
-    its log-sum-exp, then one matrix product for the means and one
-    batched product over the centered points for the covariances.  A
+    all k components at once, in (k, d, n) and (k, n) buffers of the fit:
+    one stacked factorization (bumping only the rows that fail, see
+    :func:`_factorize`), the weighted log densities of the centred points
+    and their log-sum-exp, whose own exps over their column sums are the
+    responsibilities, then one product for the means and one for the
+    covariances, whose centred points serve the next densities.  A
     component that loses all responsibility is re-seeded at a random
-    data point (counted in ``reinit_events``).  In the loop, a
-    responsibility below e^-700 is exactly 0 (:func:`_exp_ftz`); the
-    returned ones are plain ``np.exp``.
+    point (``reinit_events``).  In the loop, not in the returned ones, an
+    exp below e^-700 of its column's largest is 0 (:func:`_exp_ftz`).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -241,6 +240,9 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     covs = np.tile(var_scale * np.eye(dim), (k, 1, 1))
     weights = np.full(k, 1.0 / k)
     points_t = np.ascontiguousarray(points.T)
+    centered, work = np.empty((2, k, dim, n))  # centred points; whitened or weighted ones
+    log_terms, exps = np.empty((2, k, n))
+    np.subtract(points_t, means[:, :, None], out=centered)
 
     lls: list[float] = []
     perturbed: list[int] = []
@@ -250,12 +252,16 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     for it in range(cfg.max_iters):
         covs, chols, log_dets, bumps = _factorize(covs, eps, _MAX_JITTER_RETRIES)
         jitter_events += int(bumps.sum())
-        log_terms = _weighted_log_pdfs(ComponentArrays(weights, means, covs, chols, log_dets), points)
-        log_norm = _log_sum_exp(log_terms)
-        total_ll = float(np.sum(log_norm))
+        _centered_log_pdfs(ComponentArrays(weights, means, covs, chols, log_dets), centered, work, log_terms)
+        top = log_terms.max(axis=0)
+        top[np.isneginf(top)] = 0.0
+        resp = _exp_ftz(np.subtract(log_terms, top, out=log_terms), exps)
+        sums = resp.sum(axis=0)
+        with np.errstate(divide="ignore"):
+            total_ll = float(np.sum(top + np.log(sums)))
         if not np.isfinite(total_ll):
             raise EMError(f"log-likelihood became non-finite at iteration {it}")
-        resp = _exp_ftz(log_terms - log_norm)
+        resp /= sums
         if bumps.any():
             perturbed.append(it)
         lls.append(total_ll)
@@ -263,16 +269,17 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
             converged = True
             break
         # Maximization.
-        counts = resp.sum(axis=0)
+        counts = resp.sum(axis=1)
         dead = np.flatnonzero(counts < n * 1e-12)
         counts[dead] = 1.0
-        means = resp.T @ points / counts[:, None]
-        centered = points_t - means[:, :, None]
-        covs = (centered * resp.T[:, None]) @ centered.transpose(0, 2, 1) / counts[:, None, None]
-        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+        means = resp @ points / counts[:, None]
         for c in dead:
             means[c] = points[rng.integers(n)]
-            covs[c] = var_scale * np.eye(dim)
+        np.subtract(points_t, means[:, :, None], out=centered)
+        np.multiply(centered, resp[:, None], out=work)
+        covs = work @ centered.transpose(0, 2, 1) / counts[:, None, None]
+        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+        covs[dead] = var_scale * np.eye(dim)
         reinit_events += dead.size
         if dead.size and (not perturbed or perturbed[-1] != it):
             perturbed.append(it)

@@ -19,10 +19,10 @@ over :func:`_moment_match`, the one moment match that prices a merge in
 the cost kernels and applies it in :mod:`gmreduce.mixture`; a stack
 that is already validated and factorized becomes components again
 through :func:`_components`, without a second check.  One more stacked
-kernel gives the weighted log densities of every component at every
-point, and :func:`_log_sum_exp` sums them; the mixture density and each
-EM iteration use both.  The log-sum-exp and EM's responsibilities flush
-exps below e^-700 to zero (:func:`_exp_ftz`), off exp's slow path.
+kernel gives the (component, point) weighted log densities, one product
+whitening each component's centred points; the mixture density and EM
+sum them over the components.  Both flush exps below e^-700 to zero
+(:func:`_exp_ftz`), off exp's slow path.
 
 Positive definiteness is established by one factorization rule,
 :func:`_cholesky`: a covariance is accepted iff its entries are finite
@@ -325,31 +325,39 @@ def _overlaps(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
 
 
 def _weighted_log_pdfs(arr: ComponentArrays, points: np.ndarray) -> np.ndarray:
-    """The (n, P) matrix of log w_p + log q_p(x_i) for (n, k) points.
+    """The (n, P) matrix of log w_p + log q_p(x_i) for (n, k) points (see :func:`_centered_log_pdfs`)."""
+    return _centered_log_pdfs(arr, np.ascontiguousarray(points.T)[None] - arr.means[:, :, None]).T
 
-    Whitens every point with every stacked factor in one forward
-    substitution, z = L_p^-1 (x_i - m_p), and adds
-    log w_p - 1/2 (k log 2 pi + log |S_p| + |z|^2).  A zero weight gives
-    a column of -inf, and a point whose |z|^2 overflows an entry of -inf.
+
+def _centered_log_pdfs(arr: ComponentArrays, centered: np.ndarray, work=None, out=None) -> np.ndarray:
+    """The (P, n) matrix of log w_p + log q_p(x_i), from the (P, k, n) points x_i - m_p.
+
+    Forms each inverse factor L_p^-1 once (forward substitution on the
+    identity), whitens in one stacked product z = L_p^-1 (x_i - m_p), and
+    adds log w_p - 1/2 (k log 2 pi + log |S_p| + |z|^2).  Centring first
+    keeps the digits that L_p^-1 x_i - L_p^-1 m_p would cancel near a
+    thin component.  ``work`` (P, k, n) and ``out`` are optional buffers.
+    A zero weight gives a row of -inf, and an overflowing |z|^2 an entry.
     """
-    k = points.shape[1]
-    # (P, k, n), contiguous along the points: every stacked pass runs over long rows.
-    z = _solve_lower(arr.chols, np.ascontiguousarray(points.T)[None] - arr.means[:, :, None])
+    p, k, _ = centered.shape
     with np.errstate(divide="ignore", over="ignore"):
-        const = np.log(arr.weights) - 0.5 * (k * _LOG_2PI + arr.log_dets)
-        return (const[:, None] - 0.5 * np.sum(z * z, axis=1)).T
+        z = np.matmul(_solve_lower(arr.chols, np.broadcast_to(np.eye(k), (p, k, k))), centered, out=work)
+        out = np.sum(np.square(z, out=z), axis=1, out=out)
+        out *= -0.5
+        out += (np.log(arr.weights) - 0.5 * (k * _LOG_2PI + arr.log_dets))[:, None]
+    return out
 
 
-def _exp_ftz(x: np.ndarray) -> np.ndarray:
+def _exp_ftz(x: np.ndarray, out=None) -> np.ndarray:
     """exp(x), with every entry below e^_EXP_FLOOR flushed to exactly 0.
 
     exp(max(x, _EXP_FLOOR)), then masked: exp never meets a subnormal or
     underflowing result, where it runs many times slower, and NaN
     propagates.  A bare clamp would turn the exact zeros of a collapsed
-    EM component into e^-700.
+    EM component into e^-700.  ``out`` is an optional buffer, not ``x``.
     """
-    out = np.exp(np.maximum(x, _EXP_FLOOR))
-    out[x < _EXP_FLOOR] = 0.0
+    out = np.exp(np.maximum(x, _EXP_FLOOR, out=out), out=out)
+    np.putmask(out, x < _EXP_FLOOR, 0.0)
     return out
 
 

@@ -425,6 +425,15 @@ def test_bad_gen_spec_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cluster_non_finite_side_or_tol_exit_2(tmp_path, capsys):
+    base = ["cluster", "--over", "3", "--target", "2", "--method", "arkl",
+            "--seed", "0", "--out-prefix", str(tmp_path / "x")]
+    for extra in (["--gen", "n=50,m=5,side=nan"], ["--gen", "n=50,m=5,side=inf"],
+                  ["--gen", "n=50,m=5", "--tol", "nan", "--max-iters", "30"]):
+        assert main(base + extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_points_csv_exit_2(tmp_path, capsys):
     prefix = str(tmp_path / "x")
     base = ["cluster", "--over", "2", "--target", "1", "--method", "arkl",

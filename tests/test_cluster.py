@@ -25,6 +25,7 @@ from gmreduce import (
 from gmreduce import apply as apply_step
 from gmreduce import cluster
 from gmreduce.cluster import _factorize, _seed_means
+from gmreduce.gauss import _cholesky
 from gmreduce.mixture import _component_log_pdf, log_pdf as mixture_log_pdf
 
 
@@ -72,6 +73,9 @@ def test_generate_corrupted_data_validation():
         generate_corrupted_data(5, -1)
     with pytest.raises(ValueError):
         generate_corrupted_data(5, 5, side=0.0)
+    for side in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            generate_corrupted_data(5, 5, side=side)
 
 
 def test_labeled_dataset_validation():
@@ -94,6 +98,15 @@ def test_em_config_validation():
         EMConfig(n_clusters=2, max_iters=0)
     with pytest.raises(ValueError):
         EMConfig(n_clusters=2, tol=-1.0)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            EMConfig(n_clusters=2, tol=tol)
+    for count in (2.5, True, 2.0):
+        with pytest.raises(ValueError):
+            EMConfig(n_clusters=count)
+        with pytest.raises(ValueError):
+            EMConfig(n_clusters=2, max_iters=count)
+    assert EMConfig(n_clusters=np.int64(2), max_iters=np.int32(5)).n_clusters == 2
 
 
 def test_em_single_component_recovers_sample_moments():
@@ -194,6 +207,20 @@ def test_factorizable_jitter_retries():
         _factorize(singular[None], 0.0, 0)
     with pytest.raises(EMError):
         _factorize(singular[None], 0.0, 3)
+
+
+def test_factorize_fast_path_is_one_stacked_cholesky():
+    rng = np.random.default_rng(95)
+    a = rng.normal(size=(6, 3, 3))
+    covs = a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(3)
+    given = covs.copy()
+    got, chols, log_dets, bumps = _factorize(covs, 0.5, 3)
+    want_chols, want_log_dets, _ = _cholesky(given)
+    assert not bumps.any()
+    assert np.array_equal(covs, given) and np.array_equal(got, given)
+    assert np.array_equal(chols.view(np.uint64), want_chols.view(np.uint64))
+    assert np.array_equal(log_dets.view(np.uint64), want_log_dets.view(np.uint64))
+    # A failing row takes the bump loop: test_factorizable_jitter_retries.
 
 
 def _loop_em_fit(points, cfg):
@@ -315,9 +342,10 @@ def test_em_flushes_in_loop_responsibilities_below_e_minus_700(monkeypatch):
     cfg = EMConfig(n_clusters=6, max_iters=40, seed=0)
     seen = []
 
-    def spy(x):
-        out = flush(x)
-        seen.append((x, out))
+    def spy(x, out=None):
+        # EM hands its reused workspace buffers in: keep copies.
+        out = flush(x, out)
+        seen.append((x.copy(), out.copy()))
         return out
 
     flush = cluster._exp_ftz

@@ -339,6 +339,38 @@ def test_cached_factorization_consistent():
     assert abs(c.log_det - math.log(np.linalg.det(c.cov))) < 1e-10
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_weighted_log_pdfs_centre_before_whitening(dim):
+    """Thin components far from the origin, at their means, near them and far off.
+
+    Whitening the points and the means apart, L^-1 x - L^-1 m, would
+    cancel most of the digits of z near the mean; the kernel whitens the
+    centred points.
+    """
+    rng = np.random.default_rng(720 + dim)
+    comps = []
+    for log_cond in (0.0, 4.0, 7.0, 10.0):
+        rot, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        cov = (rot * np.geomspace(1.0, 10.0**-log_cond, dim) * 10.0 ** rng.uniform(-1.0, 1.0)) @ rot.T
+        comps.append(GaussianComponent(rng.uniform(0.1, 0.3), rng.uniform(-1e4, 1e4, dim), 0.5 * (cov + cov.T)))
+    pts = np.vstack(
+        [np.vstack([c.mean, c.mean + rng.normal(size=(4, dim)) @ c.chol.T]) for c in comps]
+        + [rng.uniform(-2e4, 2e4, size=(4, dim))]
+    )
+    got = _weighted_log_pdfs(ComponentArrays.of(comps), pts)
+    # Oracle: LAPACK's general solve with each component's factor.
+    want = np.stack(
+        [
+            np.log(c.weight)
+            - 0.5 * (dim * math.log(2.0 * math.pi) + c.log_det)
+            - 0.5 * np.sum(np.linalg.solve(c.chol, (pts - c.mean).T) ** 2, axis=0)
+            for c in comps
+        ],
+        axis=1,
+    )
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 def _solve_lower_by_middle_axis_sum(chol, rhs):
     """The forward substitution that sums each row over a middle axis, kept as an oracle."""
     out = np.empty(rhs.shape)
