@@ -6,10 +6,10 @@ Mixture files are JSON::
 
     {"dim": k, "components": [{"weight": w, "mean": [...], "cov": [[...], ...]}, ...]}
 
-Covariances may be asymmetric up to 1e-9 absolutely (they are
-symmetrized on load); weight sums within 1e-6 of 1 are renormalized with
-a warning.  Floats are serialized with full round-trip precision, so a
-parse/serialize/parse cycle is the identity.
+``dim`` is a JSON integer.  Covariances may be asymmetric up to 1e-9
+absolutely (they are symmetrized on load); weight sums within 1e-6 of 1
+are renormalized with a warning.  Floats are serialized with full
+round-trip precision, so a parse/serialize/parse cycle is the identity.
 
 Trace files are JSON with 1-based component indices::
 
@@ -19,7 +19,8 @@ Trace files are JSON with 1-based component indices::
 Replaying the steps of a trace file against its input mixture
 reproduces the embedded final mixture exactly.
 
-Point sets are CSV with header ``x1,...,xk[,label][,truth]``.
+Point sets are CSV with header ``x1,...,xk[,label][,truth]`` and finite
+coordinates.
 
 Exit codes: 0 success, 2 validation error (missing or malformed file,
 bad arguments), 3 numerical failure, 4 EM failure.
@@ -91,12 +92,12 @@ def mixture_from_doc(doc) -> GaussianMixture:
     if not isinstance(doc, dict):
         raise ValueError("mixture document must be a JSON object")
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         entries = doc["components"]
     except KeyError as exc:
         raise ValueError(f"mixture document is missing the {exc} field") from None
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
     if not isinstance(entries, list) or not entries:
         raise ValueError("components must be a non-empty list")
     weights = []
@@ -237,9 +238,14 @@ def _read_points_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}")
-            rows.append([float(v) for v in row[:dim]])
-            if truth_at is not None:
-                truth.append(int(row[truth_at]))
+            try:
+                rows.append([float(v) for v in row[:dim]])
+                if truth_at is not None:
+                    truth.append(int(row[truth_at]))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} has a non-numeric field") from None
+            if not np.all(np.isfinite(rows[-1])):
+                raise ValueError(f"{path}: line {lineno} has a non-finite coordinate")
     if not rows:
         raise ValueError(f"{path} contains no points")
     pts = np.asarray(rows, dtype=float)

@@ -9,7 +9,8 @@ the merge kernels of ``runnalls``, ``arkl-simple`` and ``arkl``
 (:func:`_merge_kernels`), divergences (:func:`~gmreduce.gauss._whiten`)
 and Gaussian overlaps (:func:`_overlaps`).  The public scalar functions
 are batches of one over these kernels and both reduction engines call
-them, so each cost has one definition.
+them, so each cost has one definition.  Their arrays put the pair axis
+last, and a row's value does not depend on the batch it is computed in.
 
 The merge-direction surrogates follow one pattern: a candidate action's
 cost has the form
@@ -51,6 +52,7 @@ from .gauss import (
     _pair_arrays,
     _solve_lower,
     _whiten,
+    _whitenings,
     expected_log,  # noqa: F401 -- kept importable here for call tracers
     kld_gauss,
     max_value,
@@ -241,16 +243,14 @@ def _arkl_exponents(
     # so Var L = |slope|^2 + |curv|_F^2 / 2.  A product overflows only where
     # a factor's square, and so a divergence, does; that row is flagged below.
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = np.sum(w_a * z_a[:, :, None], axis=1) - np.sum(w_b * z_b[:, :, None], axis=1)
-        curv = np.sum(w_a[:, :, :, None] * w_a[:, :, None, :], axis=1) - np.sum(
-            w_b[:, :, :, None] * w_b[:, :, None, :], axis=1
-        )
-    terms = np.concatenate([slope, curv.reshape(len(slope), -1) * math.sqrt(0.5)], axis=1)
-    sd_full = np.hypot.reduce(terms, axis=1)
+        slope = np.sum(w_a * z_a[:, None], axis=0) - np.sum(w_b * z_b[:, None], axis=0)
+        curv = np.sum(w_a[:, :, None] * w_a[:, None], axis=0) - np.sum(w_b[:, :, None] * w_b[:, None], axis=0)
+    terms = np.concatenate([slope, curv.reshape(-1, slope.shape[1]) * math.sqrt(0.5)])
+    sd_full = np.hypot.reduce(terms, axis=0)
     pa = a.weights / merged.weights
     pb = b.weights / merged.weights
     pooled, _, pooled_ok = _cholesky(pa[:, None, None] * a.covs + pb[:, None, None] * b.covs)
-    sep = np.hypot.reduce(_solve_lower(pooled, (b.means - a.means)[:, :, None])[:, :, 0], axis=1)
+    sep = np.hypot.reduce(_solve_lower(pooled, (b.means - a.means)[:, :, None]).transpose(1, 2, 0)[:, 0], axis=0)
     # delta^T S_pool^-1 x under q_ab, whose covariance is S_pool + pa pb delta delta^T,
     # has variance t (1 + pa pb t) with t = sep^2.
     with np.errstate(over="ignore"):
@@ -278,7 +278,8 @@ def _merge_kernels(
     """
     merged, ok = _moment_match(a, b)
     if kind is CostKind.RUNNALLS_B:
-        return _whiten(a, merged)[0], _whiten(b, merged)[0], ok
+        (d_a, _, _), (d_b, _, _) = _whitenings(merged, a, b)
+        return d_a, d_b, ok
     if kind is CostKind.ARKL_SIMPLE:
         return _whiten(merged, a)[0], _whiten(merged, b)[0], ok
     if kind is CostKind.ARKL_FULL:

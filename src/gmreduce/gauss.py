@@ -18,7 +18,9 @@ reduction engines on them.  :func:`moment_match_merge` is a batch of one
 over :func:`_moment_match`, the one moment match that prices a merge in
 the cost kernels and applies it in :mod:`gmreduce.mixture`; a stack
 that is already validated and factorized becomes components again
-through :func:`_components`, without a second check.  One more stacked
+through :func:`_components`, without a second check.  The kernels put
+the pair axis last, so each numpy call is one long loop, and their sums
+over the k and k^2 axes do not depend on the batch length.  One more stacked
 kernel gives the (component, point) weighted log densities, one product
 whitening each component's centred points; the mixture density and EM
 sum them over the components.  Both flush exps below e^-700 to zero
@@ -272,40 +274,57 @@ def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """L^-1 B by forward substitution over the k rows, for a whole stack.
 
     ``chol`` is (P, k, k) or (1, k, k) and lower triangular, ``rhs`` is
-    (P, k, c).  Row r adds L[r, c] x_c for c < r in order into one
+    (P, k, c).  The rows are swept over (k, c, P) buffers, pairs last, and
+    the result is the (P, k, c) view of one; ``.transpose(1, 2, 0)`` gives
+    the buffer back.  Row r adds L[r, c] x_c for c < r in order into one
     buffer, subtracts that from B's row and divides by L[r, r]: one
     stacked update per row, so L^-1 L is the identity exactly, and no
     slow sum over a middle axis.  For k <= 8 this equals that sum,
     ``np.sum(L[:, r, :r, None] * x[:, :r], axis=1)``, bit for bit (up to
     the sign of a zero): numpy adds fewer than 8 terms in order.
     """
+    factor = np.ascontiguousarray(chol.transpose(1, 2, 0))
+    rhs = rhs.transpose(1, 2, 0)
     out = np.empty(rhs.shape)
-    np.divide(rhs[:, 0], chol[:, 0, 0, None], out=out[:, 0])
-    for r in range(1, rhs.shape[1]):
-        acc = chol[:, r, 0, None] * out[:, 0]
+    np.divide(rhs[0], factor[0, 0], out=out[0])
+    for r in range(1, len(out)):
+        acc = factor[r, 0] * out[0]
         for c in range(1, r):
-            acc += chol[:, r, c, None] * out[:, c]
-        np.subtract(rhs[:, r], acc, out=acc)
-        np.divide(acc, chol[:, r, r, None], out=out[:, r])
-    return out
+            acc += factor[r, c] * out[c]
+        np.subtract(rhs[r], acc, out=acc)
+        np.divide(acc, factor[r, r], out=out[r])
+    return out.transpose(2, 0, 1)
+
+
+def _sum_leading(x: np.ndarray) -> np.ndarray:
+    """Sums over the leading axis of (n, P), in order for any P: numpy would sum a lone column pairwise."""
+    return np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
 
 
 def _whiten(from_: ComponentArrays, to: ComponentArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """D(from_ || to) per row, with from_'s spread and offset in to's whitened frame.
 
-    Returns (D, W, z) with W = L_to^-1 L_from and z = L_to^-1 (m_from -
-    m_to), so that for x = m_from + L_from y the Mahalanobis term of
-    q_to is |z + W y|^2.  D is the closed form of :func:`kld_gauss`, read
-    off the same solve; it overflows to +inf for remote pairs.
+    Returns (D, W, z) with W = L_to^-1 L_from, (k, k, P), and z = L_to^-1
+    (m_from - m_to), (k, P), so that for x = m_from + L_from y the
+    Mahalanobis term of q_to is |z + W y|^2.  D is the closed form of
+    :func:`kld_gauss`, read off the same solve; it overflows to +inf for
+    remote pairs.
     """
-    offset = from_.means - to.means
-    p, k = offset.shape
-    spread = np.broadcast_to(from_.chols, (p, k, k))
-    sol = _solve_lower(to.chols, np.concatenate([spread, offset[:, :, None]], axis=2))
-    w, z = sol[:, :, :-1], sol[:, :, -1]
+    return _whitenings(to, from_)[0]
+
+
+def _whitenings(to: ComponentArrays, *froms: ComponentArrays) -> list:
+    """:func:`_whiten` of each stack in ``froms`` against ``to``: one substitution, their [L | m - m_to] as columns."""
+    p, k = np.broadcast_shapes(to.means.shape, *(f.means.shape for f in froms))
+    rhs = np.empty((k, len(froms), k + 1, p))
+    for n, f in enumerate(froms):
+        rhs[:, n, :k], rhs[:, n, k] = f.chols.transpose(1, 2, 0), (f.means - to.means).T
+    sol = _solve_lower(to.chols, rhs.reshape(k, -1, p).transpose(2, 0, 1)).transpose(1, 2, 0).reshape(rhs.shape)
     with np.errstate(over="ignore"):
-        div = 0.5 * (to.log_dets - from_.log_dets - k + np.sum(w * w, axis=(1, 2)) + np.sum(z * z, axis=1))
-    return div, w, z
+        return [
+            (0.5 * (to.log_dets - f.log_dets - k + _sum_leading((w * w).reshape(k * k, p)) + _sum_leading(z * z)), w, z)
+            for f, w, z in zip(froms, sol[:, :, :k].swapaxes(0, 1), sol[:, :, k].swapaxes(0, 1))
+        ]
 
 
 def _overlaps(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
@@ -319,9 +338,9 @@ def _overlaps(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
     if not np.all(ok):
         raise np.linalg.LinAlgError("a covariance sum of an overlap is not positive definite")
     offset = a.means - b.means
-    z = _solve_lower(chol, offset[:, :, None])[:, :, 0]
+    z = _solve_lower(chol, offset[:, :, None]).transpose(1, 2, 0)[:, 0]
     with np.errstate(over="ignore"):
-        return np.exp(-0.5 * (offset.shape[1] * _LOG_2PI + log_det + np.sum(z * z, axis=1)))
+        return np.exp(-0.5 * (offset.shape[1] * _LOG_2PI + log_det + _sum_leading(z * z)))
 
 
 def _weighted_log_pdfs(arr: ComponentArrays, points: np.ndarray) -> np.ndarray:
@@ -341,7 +360,9 @@ def _centered_log_pdfs(arr: ComponentArrays, centered: np.ndarray, work=None, ou
     """
     p, k, _ = centered.shape
     with np.errstate(divide="ignore", over="ignore"):
-        z = np.matmul(_solve_lower(arr.chols, np.broadcast_to(np.eye(k), (p, k, k))), centered, out=work)
+        # A contiguous operand keeps matmul on its BLAS path.
+        inv = np.ascontiguousarray(_solve_lower(arr.chols, np.broadcast_to(np.eye(k), (p, k, k))))
+        z = np.matmul(inv, centered, out=work)
         out = np.sum(np.square(z, out=z), axis=1, out=out)
         out *= -0.5
         out += (np.log(arr.weights) - 0.5 * (k * _LOG_2PI + arr.log_dets))[:, None]

@@ -126,6 +126,8 @@ def test_malformed_trace_documents_raise_value_error(tmp_path):
         ({"method": "arkl", "steps": [1], "final_mixture": final}, "step 1 is malformed"),
         ({"method": "arkl", "steps": [{"action": "merge", "indices": 5}], "final_mixture": final}, "step 1 is malformed"),
         ({"method": "arkl", "steps": [{"action": "merge", "indices": [None, 2]}], "final_mixture": final}, "step 1 is malformed"),
+        ({"method": "arkl", "steps": [], "final_mixture": dict(final, dim=None)}, "dim must be an integer"),
+        ({"method": "arkl", "steps": [], "final_mixture": dict(final, dim=1.0)}, "dim must be an integer"),
     ]
     for doc, message in cases:
         path = _write_doc(tmp_path / "trace.json", doc)
@@ -359,6 +361,11 @@ def test_bad_mixture_documents_exit_2(tmp_path, capsys):
                 {"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.0, 1.0]]}
             ],
         },
+        dict(_standard_doc(), dim=None),
+        dict(_two_component_doc(), dim=1.0),
+        dict(_two_component_doc(), dim=True),
+        dict(_two_component_doc(), dim="1"),
+        {"dim": 2.7, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}]},
     ]
     for doc in cases:
         path = _write_doc(tmp_path / "m.json", doc)
@@ -451,6 +458,22 @@ def test_bad_points_csv_exit_2(tmp_path, capsys):
     headeronly.write_text("x1,x2\n")
     assert main(base + ["--data", str(headeronly)]) == 2
     capsys.readouterr()
+
+
+def test_points_csv_non_numeric_or_non_finite_names_file_and_line(tmp_path, capsys):
+    base = ["cluster", "--over", "2", "--target", "1", "--method", "arkl", "--seed", "0",
+            "--out-prefix", str(tmp_path / "x")]
+    cases = [
+        ("x1,x2\n0.5,0.5\nnan,2.0\n", "non-finite coordinate"),
+        ("x1,x2\n0.5,0.5\n1.0,-inf\n", "non-finite coordinate"),
+        ("x1,x2\n0.5,0.5\n1.0,abc\n", "non-numeric field"),
+        ("x1,x2,truth\n0.5,0.5,0\n1.0,2.0,x\n", "non-numeric field"),
+    ]
+    path = tmp_path / "points.csv"
+    for text, message in cases:
+        path.write_text(text)
+        assert main(base + ["--data", str(path)]) == 2
+        assert f"{path}: line 3 has a {message}" in capsys.readouterr().err
 
 
 def test_reduce_bad_target_exit_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from conftest import random_component, random_mixture
@@ -39,7 +40,7 @@ from gmreduce.costs import (
     _pair_cost_from_neg_exponents,
     _williams_merge_costs,
 )
-from gmreduce.gauss import ComponentArrays, _whiten
+from gmreduce.gauss import ComponentArrays, _solve_lower, _whiten
 from gmreduce.gauss import log_pdf as g_log_pdf, max_value, pdf as g_pdf
 from gmreduce.quadrature import kld_quad
 
@@ -364,33 +365,51 @@ def test_arkl_merge_cost_finite_up_to_the_overflow_path():
         assert 0.0 < cost < simple_merge_bound(a, b)
 
 
-def test_batched_kernels_match_batch_of_one_bit_for_bit():
-    """Every kernel over all pairs equals its batch-of-one rows exactly."""
-    rng = np.random.default_rng(54)
-    for dim in (1, 2, 4, 8):
-        m = random_mixture(rng, 7, dim)
+def _bits(x):
+    return x.view(np.uint64) if x.dtype == np.float64 else x
+
+
+def _kernel_rows(arr, gram, rows, cols):
+    """Every pair kernel over the pairs (rows[p], cols[p]), each array with its pair axis last."""
+    a, b = arr.take(rows), arr.take(cols)
+    rhs = np.concatenate([a.chols, (a.means - b.means)[:, :, None]], axis=2)
+    out = [np.moveaxis(_solve_lower(b.chols, rhs), 0, -1), *_whiten(a, b), _overlaps(a, b)]
+    for kind in (CostKind.RUNNALLS_B, CostKind.ARKL_SIMPLE, CostKind.ARKL_FULL):
+        out.extend(_merge_kernels(kind, a, b))
+    s, t = _gram_stats(arr.weights, gram)
+    out.extend(_williams_merge_costs(arr, gram, s, t, rows, cols))
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@example(seed=54, size=7, dims=(1, 2, 4, 8), order=[17, 0, 17, 41, 5])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 9),
+    dims=st.tuples(st.integers(1, 8)),
+    order=st.lists(st.integers(0, 71), min_size=1, max_size=40),
+)
+def test_batched_kernels_match_batch_of_one_bit_for_bit(seed, size, dims, order):
+    """Every kernel row equals the same row computed in any other batch, exactly.
+
+    For each dimension in ``dims`` a mixture is drawn from one generator.
+    Its ordered pairs are evaluated all at once, one at a time, two at a
+    time, and in ``order`` (indices modulo the pair count: a shuffle with
+    repeats); each row must match the all-pairs row bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    for dim in dims:
+        m = random_mixture(rng, size, dim)
         arr = ComponentArrays.of(m.components)
-        iu, ju = np.triu_indices(m.size, k=1)
-        rows, cols = np.nonzero(~np.eye(m.size, dtype=bool))
         gram = _overlap_matrix(arr, arr)
-        s, t = _gram_stats(arr.weights, gram)
-        batched = {
-            kind: _merge_kernels(kind, arr.take(iu), arr.take(ju))
-            for kind in (CostKind.RUNNALLS_B, CostKind.ARKL_SIMPLE, CostKind.ARKL_FULL)
-        }
-        williams = _williams_merge_costs(arr, gram, s, t, iu, ju)[0]
-        overlaps = _overlaps(arr.take(iu), arr.take(ju))
-        klds = _whiten(arr.take(rows), arr.take(cols))[0]
-        for p, (i, j) in enumerate(zip(iu, ju)):
-            a, b = arr.take([i]), arr.take([j])
-            for kind, (k_a, k_b, ok) in batched.items():
-                one_a, one_b, one_ok = _merge_kernels(kind, a, b)
-                assert (one_a[0], one_b[0], one_ok[0]) == (k_a[p], k_b[p], ok[p])
-            one = _williams_merge_costs(arr, gram, s, t, np.array([i]), np.array([j]))[0]
-            assert one[0] == williams[p]
-            assert _overlaps(a, b)[0] == overlaps[p]
-        for p, (i, j) in enumerate(zip(rows, cols)):
-            assert _whiten(arr.take([i]), arr.take([j]))[0][0] == klds[p]
+        rows, cols = np.nonzero(~np.eye(size, dtype=bool))
+        everything = _kernel_rows(arr, gram, rows, cols)
+        pairs = np.arange(rows.size)
+        batches = [pairs[p : p + 1] for p in pairs] + [pairs[p : p + 2] for p in pairs[::2]]
+        batches.append(np.array(order, dtype=int) % rows.size)
+        for batch in batches:
+            for got, want in zip(_kernel_rows(arr, gram, rows[batch], cols[batch]), everything):
+                assert np.array_equal(_bits(got), _bits(want[..., batch]))
 
 
 def test_hypothesis_cost_dispatch():

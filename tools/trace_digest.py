@@ -12,15 +12,19 @@ all four methods, once to 1 component and once by 4 steps, with
 * ``degenerate``: well-conditioned mixtures with one component moved to
   +-1e200, so that its merges cannot be moment-matched.
 
-It prints two SHA-256 digests.  The core digest covers each reduction's
-chosen hypotheses, costs (as hex), flags, ``all_costs``, evaluation
-counts, and the output weights, means, covariances, Cholesky factors and
-log determinants; a reduction that raises contributes its error instead.
-The ``skipped`` digest covers ``ReductionTrace.skipped`` alone.  Two
-checkouts whose core digests are equal made the same choices, at the
-same cost, to the same outputs, bit for bit.  The script also reports
-on how many reductions of the degenerate family ``skipped`` equals that
-of ``reference_reduce``.
+It prints three SHA-256 digests.  The core digest covers each
+reduction's chosen hypotheses, costs (as hex), flags, ``all_costs``,
+evaluation counts, and the output weights, means, covariances, Cholesky
+factors and log determinants; a reduction that raises contributes its
+error instead.  The ``decisions`` digest covers the same record without
+the step costs and ``all_costs``, plus ``ReductionTrace.skipped``; the
+``skipped`` digest covers ``skipped`` alone.  Two checkouts whose core
+digests are equal made the same choices, at the same cost, to the same
+outputs, bit for bit.  Two whose decisions digests are equal made the
+same choices, flags and skips to the same outputs, whatever the last
+digits of their costs.  The script also reports on how many reductions
+of the degenerate family ``skipped`` equals that of
+``reference_reduce``.
 """
 
 from __future__ import annotations
@@ -85,6 +89,11 @@ def _core_record(trace, out) -> tuple:
     return (steps, trace.eval_count, trace.per_step_eval_counts, comps)
 
 
+def _decisions_record(trace, out) -> tuple:
+    steps, eval_count, per_step, comps = _core_record(trace, out)
+    return ([(chosen, size, flags) for chosen, _, size, flags, _ in steps], eval_count, per_step, comps)
+
+
 def _skipped_record(trace) -> tuple:
     return tuple((step, _hyp(h)) for step, h in trace.skipped)
 
@@ -97,14 +106,15 @@ def main(argv=None) -> int:
     from gmreduce import CostKind, GaussianMixture, reduce, reference_reduce
 
     warnings.simplefilter("error", RuntimeWarning)
-    core, skipped = hashlib.sha256(), hashlib.sha256()
+    core, decisions, skipped = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     tally = dict.fromkeys(("mixtures", "steps", "flagged", "errors", "skipped", "agree", "compared"), 0)
     for family in FAMILIES:
         for index in range(PER_FAMILY):
             try:
                 m = GaussianMixture.from_arrays(*_arrays(family, index))
             except (ValueError, np.linalg.LinAlgError) as exc:
-                core.update(repr((family, index, type(exc).__name__)).encode())
+                for digest in (core, decisions):
+                    digest.update(repr((family, index, type(exc).__name__)).encode())
                 continue
             tally["mixtures"] += 1
             for kind in CostKind:
@@ -114,12 +124,14 @@ def main(argv=None) -> int:
                         out, trace = reduce(m, target, kind, record_all_costs=True)
                     except np.linalg.LinAlgError as exc:
                         tally["errors"] += 1
-                        core.update(repr((key, "LinAlgError", str(exc))).encode())
+                        for digest in (core, decisions):
+                            digest.update(repr((key, "LinAlgError", str(exc))).encode())
                         continue
                     tally["steps"] += len(trace.steps)
                     tally["flagged"] += sum(1 for s in trace.steps if s.flags)
                     tally["skipped"] += len(trace.skipped)
                     core.update(repr((key, _core_record(trace, out))).encode())
+                    decisions.update(repr((key, _decisions_record(trace, out), _skipped_record(trace))).encode())
                     skipped.update(repr((key, _skipped_record(trace))).encode())
                     if family == "degenerate":
                         tally["compared"] += 1
@@ -127,8 +139,9 @@ def main(argv=None) -> int:
                             tally["agree"] += reference_reduce(m, target, kind)[1].skipped == trace.skipped
                         except np.linalg.LinAlgError:
                             pass
-    print(f"core     {core.hexdigest()}")
-    print(f"skipped  {skipped.hexdigest()}")
+    print(f"core       {core.hexdigest()}")
+    print(f"decisions  {decisions.hexdigest()}")
+    print(f"skipped    {skipped.hexdigest()}")
     print(
         f"{tally['mixtures']} mixtures, {tally['steps']} steps, {tally['flagged']} flagged, "
         f"{tally['errors']} all-degenerate errors, {tally['skipped']} skipped entries; "
