@@ -6,10 +6,10 @@ Mixture files are JSON::
 
     {"dim": k, "components": [{"weight": w, "mean": [...], "cov": [[...], ...]}, ...]}
 
-``dim`` is a JSON integer.  Covariances may be asymmetric up to 1e-9
-absolutely (they are symmetrized on load); weight sums within 1e-6 of 1
-are renormalized with a warning.  Floats are serialized with full
-round-trip precision, so a parse/serialize/parse cycle is the identity.
+``dim`` and step indices are JSON integers; weights, means and
+covariances are JSON numbers.  Covariances may be asymmetric up to 1e-9
+absolutely (symmetrized on load); weight sums within 1e-6 of 1 are
+renormalized with a warning.  Floats round-trip exactly.
 
 Trace files are JSON with 1-based component indices::
 
@@ -88,37 +88,41 @@ SWEEP_COLUMNS = (
 # ---------------------------------------------------------------------------
 
 
+def _json_numbers(value, shape: tuple[int, ...], name: str, integer: bool = False):
+    """``value`` if it nests JSON numbers (integers if ``integer``; never bools) in lists of ``shape``."""
+    if shape:
+        if not isinstance(value, list) or len(value) != shape[0]:
+            raise ValueError(f"{name} must be a list of length {shape[0]}, got {value!r}")
+        for v in value:
+            _json_numbers(v, shape[1:], name, integer)
+    elif not isinstance(value, int if integer else (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
 def mixture_from_doc(doc) -> GaussianMixture:
     if not isinstance(doc, dict):
         raise ValueError("mixture document must be a JSON object")
     try:
-        dim = doc["dim"]
+        dim = _json_numbers(doc["dim"], (), "dim", integer=True)
         entries = doc["components"]
     except KeyError as exc:
         raise ValueError(f"mixture document is missing the {exc} field") from None
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
+    if dim < 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {dim}")
     if not isinstance(entries, list) or not entries:
         raise ValueError("components must be a non-empty list")
-    weights = []
-    means = []
-    covs = []
+    weights, means, covs = [], [], []
     for pos, entry in enumerate(entries, start=1):
         try:
-            weight = float(entry["weight"])
-            mean = np.asarray(entry["mean"], dtype=float)
-            cov = np.asarray(entry["cov"], dtype=float)
+            weights.append(_json_numbers(entry["weight"], (), "weight"))
+            means.append(_json_numbers(entry["mean"], (dim,), "mean"))
+            cov = np.asarray(_json_numbers(entry["cov"], (dim, dim), "cov"), dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"component {pos} is malformed: {exc}") from None
-        if mean.shape != (dim,):
-            raise ValueError(f"component {pos}: mean must have length {dim}")
-        if cov.shape != (dim, dim):
-            raise ValueError(f"component {pos}: cov must be {dim}x{dim}")
         asym = float(np.max(np.abs(cov - cov.T)))
         if asym > CLI_SYMMETRY_ATOL:
             raise ValueError(f"component {pos}: cov asymmetry {asym:.3e} exceeds {CLI_SYMMETRY_ATOL}")
-        weights.append(weight)
-        means.append(mean)
         covs.append(0.5 * (cov + cov.T))
     total = float(np.sum(weights))
     if abs(total - 1.0) > CLI_WEIGHT_SUM_ATOL:
@@ -139,13 +143,16 @@ def mixture_to_doc(m: GaussianMixture) -> dict:
     }
 
 
-def load_mixture(path: str) -> GaussianMixture:
+def _read_json(path: str):
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    return mixture_from_doc(doc)
+
+
+def load_mixture(path: str) -> GaussianMixture:
+    return mixture_from_doc(_read_json(path))
 
 
 def save_mixture(m: GaussianMixture, path: str):
@@ -179,11 +186,7 @@ def save_trace(trace: ReductionTrace, final_mixture: GaussianMixture, path: str)
 
 def load_trace(path: str) -> tuple[CostKind, list[Hypothesis], GaussianMixture]:
     """Read back a trace file: (method, hypotheses in order, final mixture)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} is not a valid trace file: the top level is not an object")
     try:
@@ -198,15 +201,12 @@ def load_trace(path: str) -> tuple[CostKind, list[Hypothesis], GaussianMixture]:
     for pos, step in enumerate(raw_steps, start=1):
         try:
             action = step.get("action")
-            indices = step.get("indices", [])
-            if action == "prune" and len(indices) == 1:
-                hyps.append(Prune(int(indices[0])))
-            elif action == "merge" and len(indices) == 2:
-                hyps.append(Merge(int(indices[0]), int(indices[1])))
-            else:
-                raise ValueError
-        except (TypeError, ValueError, AttributeError):
-            raise ValueError(f"{path}: step {pos} is malformed") from None
+            if action not in ("prune", "merge"):
+                raise ValueError(f"action must be prune or merge, got {action!r}")
+            indices = _json_numbers(step.get("indices"), (1 if action == "prune" else 2,), "indices", integer=True)
+            hyps.append(Prune(*indices) if action == "prune" else Merge(*indices))
+        except (AttributeError, ValueError) as exc:
+            raise ValueError(f"{path}: step {pos} is malformed: {exc}") from None
     return method, hyps, final
 
 

@@ -25,8 +25,10 @@ import numpy as np
 
 from . import mixture as mix
 from .costs import CostKind
-from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _exp_ftz, _log_sum_exp, _weighted_log_pdfs
-from .mixture import GaussianMixture, Merge, Prune, _apply, _component_log_pdf
+from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _components, _exp_ftz, _log_sum_exp
+from .gauss import _weighted_log_pdfs
+from .mixture import GaussianMixture, Merge, Prune, _apply
+from .mixture import _component_log_pdf  # noqa: F401 -- kept importable here for call tracers
 from .reduction import ReductionTrace, reduce
 
 __all__ = [
@@ -285,15 +287,15 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
             perturbed.append(it)
         weights = counts / counts.sum()
 
-    covs, _, _, bumps = _factorize(covs, eps, _MAX_JITTER_RETRIES)
+    covs, chols, log_dets, bumps = _factorize(covs, eps, _MAX_JITTER_RETRIES)
     jitter_events += int(bumps.sum())
-    mixture = GaussianMixture.from_arrays(weights / weights.sum(), means, covs)
+    final = ComponentArrays(weights / weights.sum(), means, covs, chols, log_dets)
     # Responsibilities always correspond to the returned parameters (the
-    # loop may have ended on a maximization step).
-    log_terms = _component_log_pdf(mixture, points)
+    # loop may have ended on a maximization step); `centered` holds the final means.
+    log_terms = _centered_log_pdfs(final, centered, work, log_terms).T
     resp = np.exp(log_terms - _log_sum_exp(log_terms))
     return EMFit(
-        mixture,
+        GaussianMixture(_components(final)),
         resp,
         tuple(lls),
         converged,

@@ -7,10 +7,12 @@ row by row -- for index lists I, J, ``arr.take(I)`` and ``arr.take(J)``
 -- and evaluate all rows in stacked numpy calls: the moment matches,
 the merge kernels of ``runnalls``, ``arkl-simple`` and ``arkl``
 (:func:`_merge_kernels`), divergences (:func:`~gmreduce.gauss._whiten`)
-and Gaussian overlaps (:func:`_overlaps`).  The public scalar functions
-are batches of one over these kernels and both reduction engines call
-them, so each cost has one definition.  Their arrays put the pair axis
-last, and a row's value does not depend on the batch it is computed in.
+and Gaussian overlaps (:func:`_overlaps`).  The divergence costs are
+batches of one over these kernels in both engines.  Outside the engine
+the squared-error cost is its definition, ``ise_analytic(m, apply(m, h))``,
+which the engine's Gram assembly matches to rounding (checked by the
+identity ISE = w_m^2 K_ij).  Arrays put the pair axis last, and a row's
+value does not depend on the batch it is computed in.
 
 The merge-direction surrogates follow one pattern: a candidate action's
 cost has the form
@@ -508,29 +510,19 @@ def _williams_merge_costs(
     return costs, ok
 
 
-def _williams_ise(m: GaussianMixture, h: Hypothesis) -> float:
-    arr = ComponentArrays.of(m.components)
-    gram = _overlap_matrix(arr, arr)
-    s, t = _gram_stats(arr.weights, gram)
-    if isinstance(h, Prune):
-        return float(_prune_ise_from_gram(arr.weights, gram, s, t, h.j - 1))
-    costs, ok = _williams_merge_costs(arr, gram, s, t, np.array([h.i - 1]), np.array([h.j - 1]))
-    if not ok[0]:
-        raise np.linalg.LinAlgError("the pair's moment match overflows or fails to factorize")
-    return float(costs[0])
-
-
 def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind) -> float:
     """Cost assigned to a single hypothesis under the given method.
 
-    The statistics it needs are computed from ``m`` on the fly.  Pruning
-    is not part of the Runnalls hypothesis set, so asking for a prune
-    cost under it is an error.
+    Indices are checked as :func:`~gmreduce.mixture.apply` checks them,
+    and the statistics are computed from ``m`` on the fly.  Pruning is
+    not part of the Runnalls hypothesis set, so it has no cost there.
     """
     if not isinstance(h, (Prune, Merge)):
         raise ValueError(f"unknown hypothesis type: {h!r}")
+    for idx in vars(h).values():
+        mix._check_index(m, idx, type(h).__name__.lower())
     if kind is CostKind.WILLIAMS_ISE:
-        return _williams_ise(m, h)
+        return ise_analytic(m, mix.apply(m, h))
     if isinstance(h, Prune):
         if kind is CostKind.RUNNALLS_B:
             raise ValueError("the merge-only Runnalls method assigns no cost to pruning")

@@ -50,10 +50,10 @@ unaffected.  Each step reads the merges it skipped off that matrix, so
 a degenerate pair is recorded at every step it survives, as the
 reference engine records it.
 
-:func:`reference_reduce` recomputes every cost from scratch through the
-public per-hypothesis cost functions, which are batches of one over the
-same kernels, so the two engines share one definition of each cost,
-except the squared-error one, priced as ``ise_analytic(m, apply(m, h))``.
+:func:`reference_reduce` prices every hypothesis from scratch through
+:func:`gmreduce.costs.hypothesis_cost`: divergence costs as batches of
+one over the same kernels, and the squared-error cost as its definition,
+which the Gram assembly above matches to rounding.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from .costs import (
     arkl_prune_cost,  # noqa: F401 -- kept importable here for call tracers
     gaussian_overlap,  # noqa: F401 -- kept importable here for call tracers
     hypothesis_cost,
-    ise_analytic,
     kld_gauss,  # noqa: F401 -- kept importable here for call tracers
     switched_divergence,  # noqa: F401 -- kept importable here for call tracers
 )
@@ -351,27 +350,21 @@ def reduce(
 
 
 def _naive_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, counter: EvalCounter | None) -> float:
-    """From-scratch cost of one hypothesis, counting every evaluation.
+    """From-scratch :func:`hypothesis_cost` of one hypothesis, counting every evaluation.
 
-    Goes through the public per-hypothesis cost functions, which are
-    batches of one over the kernels the cached engine uses, so values
-    agree with it bit for bit wherever the inputs do; squared-error
-    values only to rounding.  A degenerate merge costs +inf, unbilled.
+    Divergence costs agree with the cached engine bit for bit wherever the
+    inputs do, and squared-error costs to rounding.  A degenerate merge
+    costs +inf, unbilled.
     """
     n = m.size
-    if kind is CostKind.WILLIAMS_ISE:
-        try:
-            q = mix.apply(m, h)
-        except np.linalg.LinAlgError:
-            return np.inf
-        # All three Gram matrices in full: n^2 + nq^2 + n nq overlaps.
-        _bill(counter, "overlap", n * n + q.size * q.size + n * q.size)
-        return ise_analytic(m, q)
     try:
         cost = hypothesis_cost(m, h, kind)
     except np.linalg.LinAlgError:
         return np.inf
-    if isinstance(h, Merge):
+    if kind is CostKind.WILLIAMS_ISE:
+        # ise_analytic's three Gram matrices in full, against the n - 1 components left.
+        _bill(counter, "overlap", n * n + (n - 1) ** 2 + n * (n - 1))
+    elif isinstance(h, Merge):
         _bill(counter, _KERNEL_FIELD[kind], 2)
     elif kind is CostKind.ARKL_FULL:
         _bill(counter, "kld", n - 1)

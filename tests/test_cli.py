@@ -129,6 +129,10 @@ def test_malformed_trace_documents_raise_value_error(tmp_path):
         ({"method": "arkl", "steps": [], "final_mixture": dict(final, dim=None)}, "dim must be an integer"),
         ({"method": "arkl", "steps": [], "final_mixture": dict(final, dim=1.0)}, "dim must be an integer"),
     ]
+    # Step indices are JSON integers: never truncated floats, bools or strings.
+    for action, indices in [("merge", [1.7, 2.9]), ("prune", [True]), ("prune", ["2"]), ("prune", [2.0]), ("prune", [1, 2])]:
+        steps = [{"action": "prune", "indices": [1]}, {"action": action, "indices": indices}]
+        cases.append(({"method": "arkl", "steps": steps, "final_mixture": final}, "step 2 is malformed: indices"))
     for doc, message in cases:
         path = _write_doc(tmp_path / "trace.json", doc)
         with pytest.raises(ValueError, match=message) as info:
@@ -367,10 +371,19 @@ def test_bad_mixture_documents_exit_2(tmp_path, capsys):
         dict(_two_component_doc(), dim="1"),
         {"dim": 2.7, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}]},
     ]
+    # Only JSON numbers are numbers: no bool, string or null is coerced.
+    for field, value in [
+        ("weight", True), ("weight", "1.0"), ("weight", None),
+        ("mean", [True]), ("mean", ["0.0"]), ("mean", [None]), ("mean", 0.0),
+        ("cov", [["1.0"]]), ("cov", [[True]]), ("cov", [[None]]), ("cov", [1.0]), ("cov", [[1.0, 0.0]]),
+    ]:
+        cases.append({"dim": 1, "components": [dict(_standard_doc()["components"][0], **{field: value})]})
     for doc in cases:
         path = _write_doc(tmp_path / "m.json", doc)
         assert main(["reduce", "--in", path, "--method", "arkl", "--target", "1"]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "component 1 is malformed: weight must be a number, got True" in err
+    assert "component 1 is malformed: cov must be a number, got '1.0'" in err
 
 
 def test_weight_sum_drift_renormalized_with_warning(tmp_path, capsys):

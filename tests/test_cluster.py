@@ -25,7 +25,7 @@ from gmreduce import (
 from gmreduce import apply as apply_step
 from gmreduce import cluster
 from gmreduce.cluster import _factorize, _seed_means
-from gmreduce.gauss import _cholesky
+from gmreduce.gauss import _cholesky, _log_sum_exp
 from gmreduce.mixture import _component_log_pdf, log_pdf as mixture_log_pdf
 
 
@@ -306,6 +306,14 @@ def _assert_matches_loop(points, cfg):
     assert np.allclose(fit.responsibilities, resp, rtol=0.0, atol=1e-9)
     assert (fit.jitter_events, fit.reinit_events) == (jitter_events, reinit_events)
     assert fit.perturbed_iterations == tuple(perturbed)
+    # The fit's own factorization and workspace give the same bits as
+    # validating its parameters afresh and re-evaluating the densities.
+    comps = fit.mixture.components
+    fresh = GaussianMixture.from_arrays(fit.mixture.weights, [c.mean for c in comps], [c.cov for c in comps])
+    for got, want in zip(comps, fresh.components):
+        assert np.array_equal(got.chol, want.chol) and got.log_det == want.log_det
+    log_terms = _component_log_pdf(fresh, points)
+    assert np.array_equal(fit.responsibilities, np.exp(log_terms - _log_sum_exp(log_terms)))
     return fit
 
 

@@ -20,6 +20,7 @@ from gmreduce import (
     apply,
     arkl_merge_cost,
     arkl_prune_cost,
+    build_cost_table,
     crude_prune_bound,
     gaussian_overlap,
     hypothesis_cost,
@@ -427,18 +428,50 @@ def test_hypothesis_cost_dispatch():
         hypothesis_cost(m, Prune(2), CostKind.RUNNALLS_B)
     with pytest.raises(ValueError):
         hypothesis_cost(m, "prune", CostKind.ARKL_FULL)
+    # Every index is checked, never wrapped around to the end of the mixture.
+    for kind in CostKind:
+        for h in (Prune(0), Prune(m.size + 1), Merge(0, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                hypothesis_cost(m, h, kind)
 
 
 def test_williams_cost_equals_direct_ise():
-    """The Gram-assembled cost is the ISE between reduced and original."""
+    """The engine's Gram-assembled costs are the ISE between reduced and original.
+
+    A second oracle is the pair-local identity.  With t = w^T G w and
+    s = G w, a merge of (i, j) into q_m costs
+    w_m^2 (a^2 G_ii + b^2 G_jj + 2ab G_ij - 2(a U_mi + b U_mj) + U_mm),
+    a = w_i / w_m and b = w_j / w_m, U the overlaps with q_m; a prune of
+    j costs (w_j / (1 - w_j))^2 (G_jj - 2 s_j + t).
+    """
     rng = np.random.default_rng(53)
     for _ in range(20):
         dim = int(rng.integers(1, 3))
         m = random_mixture(rng, int(rng.integers(2, 6)), dim)
-        for h in (Prune(1), Prune(m.size)) + ((Merge(1, 2),) if m.size >= 2 else ()):
-            want = ise_analytic(apply(m, h), m)
-            got = hypothesis_cost(m, h, CostKind.WILLIAMS_ISE)
-            assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+        table = build_cost_table(m, CostKind.WILLIAMS_ISE)
+        w = m.weights
+        gram = _overlap_matrix(*(ComponentArrays.of(m.components),) * 2)
+        s, t = _gram_stats(w, gram)
+        for j in range(1, m.size + 1):
+            got = table.prune_cost[j - 1]
+            assert abs(got - ise_analytic(apply(m, Prune(j)), m)) < 1e-10 * max(1.0, abs(got))
+            c = w[j - 1] / (1.0 - w[j - 1])
+            local = c * c * (gram[j - 1, j - 1] - 2.0 * s[j - 1] + t)
+            assert abs(got - local) < 1e-14 * t / (1.0 - w[j - 1]) ** 2
+            for i in range(1, j):
+                got = table.pair_cost[i - 1, j - 1]
+                assert abs(got - ise_analytic(apply(m, Merge(i, j)), m)) < 1e-10 * max(1.0, abs(got))
+                qi, qj = m.components[i - 1], m.components[j - 1]
+                qm = moment_match_merge(qi, qj)
+                a, b = qi.weight / qm.weight, qj.weight / qm.weight
+                k_ij = (
+                    a * a * gram[i - 1, i - 1]
+                    + b * b * gram[j - 1, j - 1]
+                    + 2.0 * a * b * gram[i - 1, j - 1]
+                    - 2.0 * (a * gaussian_overlap(qm, qi) + b * gaussian_overlap(qm, qj))
+                    + gaussian_overlap(qm, qm)
+                )
+                assert abs(got - qm.weight**2 * k_ij) < 1e-14 * t
 
 
 def test_duplicate_pair_costs_vanish():

@@ -23,6 +23,7 @@ from gmreduce import (
     reference_reduce,
     update_cost_table,
 )
+from gmreduce.costs import _merge_kernels
 from gmreduce.gauss import ComponentArrays, _moment_match
 
 ALL_KINDS = (CostKind.ARKL_FULL, CostKind.ARKL_SIMPLE, CostKind.RUNNALLS_B, CostKind.WILLIAMS_ISE)
@@ -143,6 +144,51 @@ def test_replaying_a_trace_with_apply_reproduces_reduce(m):
         assert _mixtures_equal(out, replayed)
         (got,), (want,) = out.components, replayed.components
         assert np.array_equal(got.chol, want.chol) and got.log_det == want.log_det
+
+
+def _mean_and_covariance(m: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
+    mean = sum(c.weight * c.mean for c in m.components)
+    second = sum(c.weight * (c.cov + np.outer(c.mean, c.mean)) for c in m.components)
+    return mean, second - np.outer(mean, mean)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ill_conditioned_mixtures())
+def test_a_merge_preserves_the_mixture_mean_and_covariance(m):
+    """Relative to the largest component second moment S_k + m_k m_k^T, to rounding."""
+    mean, cov = _mean_and_covariance(m)
+    scale = max(np.abs(c.cov + np.outer(c.mean, c.mean)).max() for c in m.components)
+    for h in enumerate_hypotheses(m, include_pruning=False):
+        try:
+            merged = apply(m, h)
+        except np.linalg.LinAlgError:
+            continue
+        got_mean, got_cov = _mean_and_covariance(merged)
+        assert np.abs(got_mean - mean).max() <= 1e-14 * np.sqrt(scale)
+        assert np.abs(got_cov - cov).max() <= 1e-14 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ill_conditioned_mixtures(), st.floats(0.0, 200.0))
+def test_every_merge_the_kernels_flag_valid_applies(m, log_shift):
+    """The last component is moved 10^log_shift away, so separations reach the overflow path.
+
+    A merge the moment match refuses (the whole flag of ``runnalls`` and
+    ``arkl-simple``) must not apply either.
+    """
+    comps = m.components
+    means = [c.mean for c in comps[:-1]] + [comps[-1].mean + 10.0**log_shift]
+    m = GaussianMixture.from_arrays(m.weights, means, [c.cov for c in comps])
+    arr = ComponentArrays.of(m.components)
+    iu, ju = np.triu_indices(m.size, k=1)
+    for kind in (CostKind.RUNNALLS_B, CostKind.ARKL_SIMPLE, CostKind.ARKL_FULL):
+        ok = _merge_kernels(kind, arr.take(iu), arr.take(ju))[2]
+        for i, j, valid in zip(iu.tolist(), ju.tolist(), ok.tolist()):
+            if valid:
+                apply(m, Merge(i + 1, j + 1))
+            elif kind is not CostKind.ARKL_FULL:
+                with pytest.raises(np.linalg.LinAlgError):
+                    apply(m, Merge(i + 1, j + 1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,13 +12,16 @@ all four methods, once to 1 component and once by 4 steps, with
 * ``degenerate``: well-conditioned mixtures with one component moved to
   +-1e200, so that its merges cannot be moment-matched.
 
-It prints three SHA-256 digests.  The core digest covers each
+It prints four SHA-256 digests.  The core digest covers each
 reduction's chosen hypotheses, costs (as hex), flags, ``all_costs``,
 evaluation counts, and the output weights, means, covariances, Cholesky
 factors and log determinants; a reduction that raises contributes its
 error instead.  The ``decisions`` digest covers the same record without
 the step costs and ``all_costs``, plus ``ReductionTrace.skipped``; the
-``skipped`` digest covers ``skipped`` alone.  Two checkouts whose core
+``skipped`` digest covers ``skipped`` alone.  The ``reference`` digest
+covers the ``reference_reduce`` runs of the degenerate family (below):
+their chosen hypotheses, costs, flags, evaluation counts, ``skipped``
+and outputs, or the error a run raises.  Two checkouts whose core
 digests are equal made the same choices, at the same cost, to the same
 outputs, bit for bit.  Two whose decisions digests are equal made the
 same choices, flags and skips to the same outputs, whatever the last
@@ -78,7 +81,7 @@ def _core_record(trace, out) -> tuple:
             float(s.cost).hex(),
             s.size_after,
             s.flags,
-            [(_hyp(h), float(c).hex()) for h, c in s.all_costs.items()],
+            [(_hyp(h), float(c).hex()) for h, c in (s.all_costs or {}).items()],
         )
         for s in trace.steps
     ]
@@ -106,7 +109,7 @@ def main(argv=None) -> int:
     from gmreduce import CostKind, GaussianMixture, reduce, reference_reduce
 
     warnings.simplefilter("error", RuntimeWarning)
-    core, decisions, skipped = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    core, decisions, skipped, reference = (hashlib.sha256() for _ in range(4))
     tally = dict.fromkeys(("mixtures", "steps", "flagged", "errors", "skipped", "agree", "compared"), 0)
     for family in FAMILIES:
         for index in range(PER_FAMILY):
@@ -136,12 +139,16 @@ def main(argv=None) -> int:
                     if family == "degenerate":
                         tally["compared"] += 1
                         try:
-                            tally["agree"] += reference_reduce(m, target, kind)[1].skipped == trace.skipped
-                        except np.linalg.LinAlgError:
-                            pass
+                            ref_out, ref_trace = reference_reduce(m, target, kind)
+                        except np.linalg.LinAlgError as exc:
+                            reference.update(repr((key, type(exc).__name__, str(exc))).encode())
+                            continue
+                        tally["agree"] += ref_trace.skipped == trace.skipped
+                        reference.update(repr((key, _core_record(ref_trace, ref_out), _skipped_record(ref_trace))).encode())
     print(f"core       {core.hexdigest()}")
     print(f"decisions  {decisions.hexdigest()}")
     print(f"skipped    {skipped.hexdigest()}")
+    print(f"reference  {reference.hexdigest()}")
     print(
         f"{tally['mixtures']} mixtures, {tally['steps']} steps, {tally['flagged']} flagged, "
         f"{tally['errors']} all-degenerate errors, {tally['skipped']} skipped entries; "
