@@ -25,7 +25,7 @@ import numpy as np
 
 from . import mixture as mix
 from .costs import CostKind
-from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _components, _exp_ftz, _log_sum_exp
+from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _exp_ftz, _log_sum_exp
 from .gauss import _weighted_log_pdfs
 from .mixture import GaussianMixture, Merge, Prune, _apply
 from .mixture import _component_log_pdf  # noqa: F401 -- kept importable here for call tracers
@@ -143,7 +143,7 @@ class EMConfig:
     def __post_init__(self):
         for name in ("n_clusters", "max_iters"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            if not mix._is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not 0.0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
@@ -295,7 +295,7 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     log_terms = _centered_log_pdfs(final, centered, work, log_terms).T
     resp = np.exp(log_terms - _log_sum_exp(log_terms))
     return EMFit(
-        GaussianMixture(_components(final)),
+        GaussianMixture._of(final),
         resp,
         tuple(lls),
         converged,
@@ -341,7 +341,7 @@ def reduce_and_reassign(
         )
     labels = np.argmax(responsibilities, axis=1) + 1
     reduced, trace = reduce(mixture, target, kind)
-    arr = ComponentArrays.of(mixture.components)
+    arr = mixture._arr
     for step in trace.steps:
         h = step.chosen
         arr = _apply(arr, h)

@@ -157,8 +157,8 @@ def ise_analytic(p: GaussianMixture, q: GaussianMixture) -> float:
     """
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    pa, qa = ComponentArrays.of(p.components), ComponentArrays.of(q.components)
-    wp, wq = p.weights, q.weights
+    pa, qa = p._arr, q._arr
+    wp, wq = pa.weights, qa.weights
     gpp = _overlap_matrix(pa, pa)
     gqq = _overlap_matrix(qa, qa)
     gpq = _overlap_matrix(pa, qa)
@@ -304,15 +304,14 @@ def _pair_costs(kind: CostKind, w_i, w_j, k_a, k_b):
     return _pair_cost_from_neg_exponents(w_i, w_j, k_a, k_b)
 
 
-def _merge_cost(kind: CostKind, a: GaussianComponent, b: GaussianComponent) -> float:
-    """A batch of one through :func:`_merge_kernels` and :func:`_pair_costs`."""
-    if a.weight + b.weight <= 0.0:
+def _merge_cost(kind: CostKind, a: ComponentArrays, b: ComponentArrays) -> float:
+    """The merge cost of two one-row stacks: a batch of one through :func:`_merge_kernels` and :func:`_pair_costs`."""
+    if a.weights[0] + b.weights[0] <= 0.0:
         raise ValueError("cannot merge a pair with zero total weight")
-    sa, sb = _pair_arrays(a, b)
-    k_a, k_b, ok = _merge_kernels(kind, sa, sb)
+    k_a, k_b, ok = _merge_kernels(kind, a, b)
     if not ok[0]:
         raise np.linalg.LinAlgError("the pair's merge kernels overflow or fail to factorize")
-    return float(_pair_costs(kind, sa.weights, sb.weights, k_a, k_b)[0])
+    return float(_pair_costs(kind, a.weights, b.weights, k_a, k_b)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +325,7 @@ def runnalls_bound(a: GaussianComponent, b: GaussianComponent) -> float:
     B = w_a D(q_a || q_ab) + w_b D(q_b || q_ab) with q_ab the
     moment-matched merge.  Scales linearly with the absolute weights.
     """
-    return _merge_cost(CostKind.RUNNALLS_B, a, b)
+    return _merge_cost(CostKind.RUNNALLS_B, *_pair_arrays(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +374,11 @@ def arkl_prune_cost(m: GaussianMixture, i: int) -> float:
         raise ValueError(f"index {i} out of range for mixture of size {m.size} (1-based)")
     if m.size < 2:
         raise ValueError("prune cost requires at least two components")
-    i0 = i - 1
-    arr = ComponentArrays.of(m.components)
+    i0, arr = i - 1, m._arr
     others = np.flatnonzero(np.arange(m.size) != i0)
     col = np.zeros((m.size, 1))
     col[others, 0] = _whiten(arr.take(others), arr.take([i0]))[0]
-    return float(np.min(_arkl_prune_terms(m.weights, col, np.array([i0]))))
+    return float(np.min(_arkl_prune_terms(arr.weights, col, np.array([i0]))))
 
 
 def simple_merge_bound(a: GaussianComponent, b: GaussianComponent) -> float:
@@ -396,7 +394,7 @@ def simple_merge_bound(a: GaussianComponent, b: GaussianComponent) -> float:
     growing with the separation and soon exceeds the cost of pruning
     either component outright.
     """
-    return _merge_cost(CostKind.ARKL_SIMPLE, a, b)
+    return _merge_cost(CostKind.ARKL_SIMPLE, *_pair_arrays(a, b))
 
 
 def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianComponent) -> float:
@@ -415,15 +413,18 @@ def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianC
     q* enters only through its moments, so its covariance -- a
     difference of matrices that need not factorize when q_k is nearly
     singular -- is never factorized.  E*[log q_k] avoids S_k^-1
-    altogether: with S = S_i + S_k and v = S^-1 (m_i - m_k), it uses
-    tr(S_k^-1 S*) = tr(S^-1 S_i) and m* - m_k = S_k v.
+    altogether: with S = S_i + S_k = L L^T and z = L^-1 (m_i - m_k), it
+    uses tr(S_k^-1 S*) = tr(S^-1 S_i) = |L^-1 L_i|_F^2 and, as
+    m* - m_k = S_k S^-1 (m_i - m_k), the Mahalanobis term |(L^-1 L_k)^T z|^2.
     """
     pd = product_decompose(i, k)
     # (2 pi)^(k/2) |cov_i|^(1/2) N(mean_i; mean_k, cov_k + cov_i), in [0, 1]
     ratio = pd.scale / max_value(i)
-    sol = np.linalg.solve(i.cov + k.cov, np.column_stack([i.cov, i.mean - k.mean]))
-    v = sol[:, -1]
-    elog_k = -0.5 * (k.dim * _LOG_2PI + k.log_det + float(np.trace(sol[:, :-1])) + float(v @ k.cov @ v))
+    # product_decompose has refused a covariance sum that does not factorize.
+    chol, _, _ = _cholesky((i.cov + k.cov)[None])
+    sol = _solve_lower(chol, np.column_stack([i.chol, k.chol, i.mean - k.mean])[None])[0]
+    w_i, w_k, z = sol[:, : k.dim], sol[:, k.dim : -1], sol[:, -1]
+    elog_k = -0.5 * (k.dim * _LOG_2PI + k.log_det + float(np.sum(w_i * w_i)) + float(np.sum(np.square(z @ w_k))))
     elog_j = _expected_log(pd.mean_star, pd.cov_star, j)
     return kld_gauss(k, j) - ratio * (elog_k - elog_j)
 
@@ -447,7 +448,7 @@ def arkl_merge_cost(a: GaussianComponent, b: GaussianComponent) -> float:
     as the squared separation.  When the covariances differ it is an
     approximation with no sign guarantee.
     """
-    return _merge_cost(CostKind.ARKL_FULL, a, b)
+    return _merge_cost(CostKind.ARKL_FULL, *_pair_arrays(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +518,13 @@ def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind) -> float:
     and the statistics are computed from ``m`` on the fly.  Pruning is
     not part of the Runnalls hypothesis set, so it has no cost there.
     """
-    if not isinstance(h, (Prune, Merge)):
-        raise ValueError(f"unknown hypothesis type: {h!r}")
-    for idx in vars(h).values():
-        mix._check_index(m, idx, type(h).__name__.lower())
+    mix._check_hypothesis(m, h)
     if kind is CostKind.WILLIAMS_ISE:
         return ise_analytic(m, mix.apply(m, h))
     if isinstance(h, Prune):
         if kind is CostKind.RUNNALLS_B:
             raise ValueError("the merge-only Runnalls method assigns no cost to pruning")
         if kind is CostKind.ARKL_SIMPLE:
-            return crude_prune_bound(m.components[h.j - 1].weight)
+            return crude_prune_bound(m._arr.weights[h.j - 1])
         return arkl_prune_cost(m, h.j)
-    return _merge_cost(kind, m.components[h.i - 1], m.components[h.j - 1])
+    return _merge_cost(kind, m._arr.take([h.i - 1]), m._arr.take([h.j - 1]))

@@ -16,9 +16,9 @@ such a stack in one pass of numpy calls.  :func:`kld_gauss`,
 over them, and :mod:`gmreduce.costs` builds the cost kernels of the
 reduction engines on them.  :func:`moment_match_merge` is a batch of one
 over :func:`_moment_match`, the one moment match that prices a merge in
-the cost kernels and applies it in :mod:`gmreduce.mixture`; a stack
-that is already validated and factorized becomes components again
-through :func:`_components`, without a second check.  The kernels put
+the cost kernels and applies it in :mod:`gmreduce.mixture`.  Components
+and mixtures wrap read-only stacks, which :func:`_stack` validates whole,
+so a kernel's output is wrapped without a second check.  The kernels put
 the pair axis last, so each numpy call is one long loop, and their sums
 over the k and k^2 axes do not depend on the batch length.  One more stacked
 kernel gives the (component, point) weighted log densities, one product
@@ -37,7 +37,7 @@ the EM loop repairs a borderline covariance explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,15 +61,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _EXP_FLOOR = -700.0  # e^-700 is about 1e-304, still a normal double (see _exp_ftz)
 
 
-def _check_weight(weight) -> float:
-    weight = float(weight)
-    if not math.isfinite(weight) or weight < 0.0:
-        raise ValueError(f"weight must be finite and nonnegative, got {weight}")
-    if weight > 1.0 + WEIGHT_EXCESS_ATOL:
-        raise ValueError(f"weight must not exceed 1, got {weight}")
-    return weight
+def _check_weights(weights) -> np.ndarray:
+    """A new non-empty 1-D float array of the weights, each in [0, 1] up to WEIGHT_EXCESS_ATOL."""
+    weights = np.array(weights, dtype=float)
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValueError(f"weights must be a non-empty 1-D vector, got shape {weights.shape}")
+    bad = ~((weights >= 0.0) & (weights <= 1.0 + WEIGHT_EXCESS_ATOL))  # NaN fails both
+    if bad.any():
+        raise ValueError(f"weight must be finite, nonnegative and at most 1, got {weights[bad][0]}")
+    return weights
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class GaussianComponent:
     """A weighted Gaussian density, immutable once constructed.
 
@@ -84,14 +87,13 @@ class GaussianComponent:
         is established by a Cholesky factorization at construction;
         failure raises ``numpy.linalg.LinAlgError``.
 
-    The mean, the covariance and its cached lower Cholesky factor
-    ``chol`` are read-only views of one (2k + 1, k) row of a parameter
-    block, so a component holds no array of its own; components made
-    together by :meth:`GaussianMixture.from_arrays` share one block.
-    ``log_det`` caches log |cov|.
+    The component wraps a read-only one-row :class:`ComponentArrays`
+    stack: the mean, the covariance and its cached lower Cholesky factor
+    ``chol`` are views of its row, and ``weight`` and ``log_det``
+    (log |cov|) are floats read off it.
     """
 
-    __slots__ = ("weight", "log_det", "_block", "_row")
+    _arr: ComponentArrays
 
     def __init__(self, weight: float, mean, cov):
         self.__post_init__(weight, mean, cov)
@@ -99,28 +101,38 @@ class GaussianComponent:
     # Validation and factorization stay in one method that call tracers
     # (perfbench/layers.py) wrap to count constructions.
     def __post_init__(self, weight, mean, cov):
-        (c,) = _stacked_components((weight,), (mean,), (cov,))
-        _set_state(self, c.weight, c.log_det, c._block, 0)
+        object.__setattr__(self, "_arr", _stack((weight,), (mean,), (cov,)))
+
+    @classmethod
+    def _of(cls, arr: ComponentArrays) -> "GaussianComponent":
+        """Wrap a validated and factorized one-row stack, marked read-only, without a second check."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "_arr", _frozen(arr))
+        return c
+
+    @property
+    def weight(self) -> float:
+        return float(self._arr.weights[0])
+
+    @property
+    def log_det(self) -> float:
+        return float(self._arr.log_dets[0])
 
     @property
     def dim(self) -> int:
-        return self._block.shape[2]
-
-    @property
-    def _params(self) -> np.ndarray:
-        return self._block[self._row]
+        return self._arr.means.shape[1]
 
     @property
     def mean(self) -> np.ndarray:
-        return self._block[self._row, 0]
+        return self._arr.means[0]
 
     @property
     def cov(self) -> np.ndarray:
-        return self._block[self._row, 1 : self.dim + 1]
+        return self._arr.covs[0]
 
     @property
     def chol(self) -> np.ndarray:
-        return self._block[self._row, self.dim + 1 :]
+        return self._arr.chols[0]
 
     def with_weight(self, weight: float) -> "GaussianComponent":
         """Same density, different weight.
@@ -129,15 +141,7 @@ class GaussianComponent:
         and Cholesky factor are shared with ``self``, not re-checked or
         re-factorized.
         """
-        out = object.__new__(type(self))
-        _set_state(out, _check_weight(weight), self.log_det, self._block, self._row)
-        return out
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        return type(self)._of(replace(self._arr, weights=_check_weights((weight,))))
 
     def __repr__(self) -> str:
         return f"GaussianComponent(weight={self.weight!r}, mean={self.mean!r}, cov={self.cov!r})"
@@ -146,61 +150,33 @@ class GaussianComponent:
         return type(self), (self.weight, self.mean, self.cov)
 
 
-def _checked_moments(mean, cov) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.asarray(mean, dtype=float)
-    if mean.ndim != 1 or mean.size == 0:
-        raise ValueError(f"mean must be a non-empty 1-D vector, got shape {mean.shape}")
-    k = mean.size
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (k, k):
-        raise ValueError(f"cov must have shape ({k}, {k}), got {cov.shape}")
-    asym = np.abs(cov - cov.T).max()
-    if asym > SYMMETRY_RTOL * max(1.0, np.abs(cov).max()):
-        raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise ValueError("mean and cov must be finite")
-    return mean, cov
+def _stack(weights, means, covs) -> ComponentArrays:
+    """The one constructor of components: a validated, factorized, read-only stack of copies of the inputs.
 
-
-def _set_state(c: GaussianComponent, weight: float, log_det: float, block: np.ndarray, row: int) -> None:
-    object.__setattr__(c, "weight", weight)
-    object.__setattr__(c, "log_det", log_det)
-    object.__setattr__(c, "_block", block)
-    object.__setattr__(c, "_row", row)
-
-
-def _stacked_components(weights, means, covs) -> tuple[GaussianComponent, ...]:
-    """Validated components whose parameters share one read-only block.
-
-    The one constructor behind :class:`GaussianComponent` and
-    :meth:`GaussianMixture.from_arrays`.  Each row is checked, and the
-    covariances are factorized in one stacked :func:`_cholesky` call;
-    ``LinAlgError`` if a row is refused.  A kept mixture then costs one
-    array, not one per component.
+    ``ValueError`` for a bad weight, shape, non-finite entry or asymmetric
+    covariance; ``LinAlgError`` if the stacked :func:`_cholesky` refuses a row.
     """
-    checked = [(_check_weight(w),) + _checked_moments(m, s) for w, m, s in zip(weights, means, covs)]
-    if not checked:
-        return ()
-    weights, means, covs = (np.array(column) for column in zip(*checked))
+    weights = _check_weights(weights)
+    means, covs = np.array(means, dtype=float), np.array(covs, dtype=float)
+    p, k = len(weights), means.shape[1] if means.ndim == 2 else 0
+    if k == 0 or means.shape[0] != p or covs.shape != (p, k, k):
+        raise ValueError(f"means and covs must be ({p}, k) and ({p}, k, k), k >= 1, got {means.shape}, {covs.shape}")
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise ValueError("means and covs must be finite")
+    asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
+    if np.any(asym > SYMMETRY_RTOL * np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))):
+        raise ValueError(f"cov is not symmetric (max asymmetry {asym.max():.3e})")
     chols, log_dets, ok = _cholesky(covs)
-    if not np.all(ok):
+    if not ok.all():
         raise np.linalg.LinAlgError("covariance is not positive definite")
-    return _components(ComponentArrays(weights, means, covs, chols, log_dets))
+    return _frozen(ComponentArrays(weights, means, covs, chols, log_dets))
 
 
-def _components(arr: ComponentArrays) -> tuple[GaussianComponent, ...]:
-    """An already validated and factorized stack as components sharing one block.
-
-    The inverse of :meth:`ComponentArrays.of`: nothing is checked or factorized again.
-    """
-    block = np.concatenate([arr.means[:, None], arr.covs, arr.chols], axis=1)
-    block.flags.writeable = False
-    comps = []
-    for row, (weight, log_det) in enumerate(zip(arr.weights.tolist(), arr.log_dets.tolist())):
-        c = object.__new__(GaussianComponent)
-        _set_state(c, weight, log_det, block, row)
-        comps.append(c)
-    return tuple(comps)
+def _frozen(arr: ComponentArrays) -> ComponentArrays:
+    """``arr``, with its five arrays marked read-only."""
+    for f in fields(arr):
+        getattr(arr, f.name).flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,17 +198,9 @@ class ComponentArrays:
 
     @classmethod
     def of(cls, components) -> "ComponentArrays":
-        """Stack validated components, reusing their cached factors."""
-        comps = tuple(components)
-        params = np.array([c._params for c in comps])
-        k = params.shape[2]
-        return cls(
-            np.array([c.weight for c in comps]),
-            params[:, 0],
-            params[:, 1 : k + 1],
-            params[:, k + 1 :],
-            np.array([c.log_det for c in comps]),
-        )
+        """Concatenate the stacks of validated components, reusing their cached factors."""
+        rows = [c._arr for c in components]
+        return cls(*(np.concatenate([getattr(r, f.name) for r in rows]) for f in fields(cls)))
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -437,15 +405,11 @@ class ProductDecomposition:
     cov_star: np.ndarray
 
 
-def _check_same_dim(a: GaussianComponent, b: GaussianComponent):
+def _pair_arrays(a: GaussianComponent, b: GaussianComponent) -> tuple[ComponentArrays, ComponentArrays]:
+    """The two components' one-row stacks: the batch of one behind every scalar pair function."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def _pair_arrays(a: GaussianComponent, b: GaussianComponent) -> tuple[ComponentArrays, ComponentArrays]:
-    """Two one-row stacks: the batch of one behind every scalar pair function."""
-    _check_same_dim(a, b)
-    return ComponentArrays.of((a,)), ComponentArrays.of((b,))
+    return a._arr, b._arr
 
 
 def log_pdf(c: GaussianComponent, x) -> float | np.ndarray:
@@ -469,7 +433,7 @@ def mahalanobis_sq(c: GaussianComponent, x) -> float | np.ndarray:
     pts = np.atleast_2d(x)
     if pts.shape[1] != c.dim:
         raise ValueError(f"point dimension {pts.shape[1]} does not match component dimension {c.dim}")
-    z = _solve_lower(c.chol[None], np.ascontiguousarray((pts - c.mean).T)[None])[0]
+    z = _solve_lower(c._arr.chols, np.ascontiguousarray((pts - c.mean).T)[None])[0]
     quad = np.sum(z * z, axis=0)
     return float(quad[0]) if single else quad
 
@@ -496,14 +460,17 @@ def product_decompose(a: GaussianComponent, b: GaussianComponent) -> ProductDeco
         scale = N(m_b; m_a, S_a + S_b)
         m*    = m_a + S_a (S_a + S_b)^-1 (m_b - m_a)
         S*    = S_a - S_a (S_a + S_b)^-1 S_a
+
+    With S_a + S_b = L L^T, z = L^-1 (m_b - m_a) and A = L^-1 S_a, the
+    two products with S_a (S_a + S_b)^-1 are A^T z and A^T A.
     """
     scale = float(_overlaps(*_pair_arrays(a, b))[0])
-    # gain = S_a (S_a + S_b)^-1, the transpose of (S_a + S_b)^-1 S_a
-    gain = np.linalg.solve(a.cov + b.cov, a.cov).T
-    mean_star = a.mean + gain @ (b.mean - a.mean)
-    cov_star = a.cov - gain @ a.cov
-    cov_star = 0.5 * (cov_star + cov_star.T)
-    return ProductDecomposition(scale, mean_star, cov_star)
+    # _overlaps has refused a covariance sum that does not factorize.
+    chol, _, _ = _cholesky((a.cov + b.cov)[None])
+    sol = _solve_lower(chol, np.column_stack([a.cov, b.mean - a.mean])[None])[0]
+    spread, z = sol[:, :-1], sol[:, -1]
+    cov_star = a.cov - spread.T @ spread
+    return ProductDecomposition(scale, a.mean + spread.T @ z, 0.5 * (cov_star + cov_star.T))
 
 
 def expected_log(under: GaussianComponent, of: GaussianComponent) -> float:
@@ -512,7 +479,7 @@ def expected_log(under: GaussianComponent, of: GaussianComponent) -> float:
     Equals -1/2 log|2 pi S_of| - 1/2 tr[ S_of^-1 (S_under + d d^T) ]
     with d the difference of means.
     """
-    _check_same_dim(under, of)
+    _pair_arrays(under, of)  # checks the dimensions
     return _expected_log(under.mean, under.cov, of)
 
 
@@ -524,7 +491,7 @@ def _expected_log(mean: np.ndarray, cov: np.ndarray, of: GaussianComponent) -> f
     """
     k = of.dim
     rhs = np.concatenate([np.eye(k), cov, (of.mean - mean)[:, None]], axis=1)
-    sol = _solve_lower(of.chol[None], rhs[None])[0]
+    sol = _solve_lower(of._arr.chols, rhs[None])[0]
     inv, whitened, z = sol[:, :k], sol[:, k:-1], sol[:, -1]
     return -0.5 * (k * _LOG_2PI + of.log_det + float(np.sum(whitened * inv)) + float(z @ z))
 
@@ -550,8 +517,8 @@ def moment_match_merge(a: GaussianComponent, b: GaussianComponent) -> GaussianCo
     pair = _pair_arrays(a, b)
     if a.weight + b.weight <= 0.0:
         raise ValueError("cannot merge a pair with zero total weight")
-    _check_weight(a.weight + b.weight)
+    _check_weights((a.weight + b.weight,))
     merged, ok = _moment_match(*pair)
     if not ok[0]:
         raise np.linalg.LinAlgError("moment-matched merge overflows or is not positive definite")
-    return _components(merged)[0]
+    return GaussianComponent._of(merged)

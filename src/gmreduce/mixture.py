@@ -1,12 +1,12 @@
 """Gaussian mixtures and the prune/merge hypotheses that shrink them.
 
-A reduction step either removes one component and renormalizes the
-survivors, or replaces a pair by its moment-matched merge.  That step
-has one definition, :func:`_apply`, on a stack of components: the
-public :func:`apply` and the reduction engine both use it.  Component
-indices in :class:`Prune` and :class:`Merge` are 1-based everywhere in
-the public API, matching the trace and CLI formats; only the internal
-array storage is 0-based.
+A mixture wraps one read-only stack of components, which the functions
+here read directly.  A reduction step either removes one component and
+renormalizes the survivors, or replaces a pair by its moment-matched
+merge, defined once by :func:`_apply` on a stack, for both the public
+:func:`apply` and the reduction engine.  Indices in :class:`Prune` and
+:class:`Merge` are 1-based integers everywhere in the public API,
+matching the trace and CLI formats; only the array storage is 0-based.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .constants import WEIGHT_SUM_ATOL
-from .gauss import ComponentArrays, GaussianComponent, _components, _log_sum_exp, _moment_match, _stacked_components
+from .gauss import ComponentArrays, GaussianComponent, _frozen, _log_sum_exp, _moment_match, _stack
 from .gauss import _weighted_log_pdfs
 from .gauss import moment_match_merge  # noqa: F401 -- kept importable here for call tracers
 
@@ -34,11 +34,20 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Prune:
     """Remove component ``j`` (1-based) and renormalize the rest."""
 
     j: int
+
+    def __post_init__(self):
+        if not _is_integer(self.j):
+            raise ValueError(f"prune index must be an integer, got {self.j!r}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,8 @@ class Merge:
     j: int
 
     def __post_init__(self):
+        if not (_is_integer(self.i) and _is_integer(self.j)):
+            raise ValueError(f"merge indices must be integers, got ({self.i!r}, {self.j!r})")
         if not self.i < self.j:
             raise ValueError(f"merge indices must satisfy i < j, got ({self.i}, {self.j})")
 
@@ -56,14 +67,18 @@ class Merge:
 Hypothesis = Union[Prune, Merge]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GaussianMixture:
-    """An ordered, immutable collection of weighted Gaussian components."""
+    """An ordered, immutable collection of weighted Gaussian components.
 
-    components: tuple[GaussianComponent, ...]
+    It wraps one validated, read-only stack: ``components`` is a new tuple
+    of views of its rows on each access, and ``weights`` a copy.
+    """
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    _arr: ComponentArrays
+
+    def __init__(self, components):
+        comps = tuple(components)
         if not comps:
             raise ValueError("mixture must contain at least one component")
         dim = comps[0].dim
@@ -74,40 +89,51 @@ class GaussianMixture:
                 raise ValueError(f"component {idx + 1} has dimension {c.dim}, expected {dim}")
             if c.weight <= 0.0:
                 raise ValueError(f"component {idx + 1} has non-positive weight {c.weight}")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_arr", _frozen(ComponentArrays.of(comps)))
+
+    @classmethod
+    def _of(cls, arr: ComponentArrays) -> "GaussianMixture":
+        """Wrap a validated and factorized stack, marked read-only, without factorizing it again."""
+        if np.any(arr.weights <= 0.0):
+            raise ValueError(f"weights must be positive, got {arr.weights.min()}")
+        m = object.__new__(cls)
+        object.__setattr__(m, "_arr", _frozen(arr))
+        return m
+
+    @property
+    def components(self) -> tuple[GaussianComponent, ...]:
+        return tuple(GaussianComponent._of(self._arr.take(slice(i, i + 1))) for i in range(self.size))
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self._arr.means.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.components)
+        return len(self._arr)
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self._arr)
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
+        return self._arr.weights.copy()
 
     @property
     def is_normalized(self) -> bool:
-        return abs(float(self.weights.sum()) - 1.0) <= WEIGHT_SUM_ATOL
+        return abs(float(self._arr.weights.sum()) - 1.0) <= WEIGHT_SUM_ATOL
 
     @classmethod
     def from_arrays(cls, weights, means, covs) -> "GaussianMixture":
-        weights = np.asarray(weights, dtype=float)
-        means = np.asarray(means, dtype=float)
-        covs = np.asarray(covs, dtype=float)
-        if not (len(weights) == len(means) == len(covs)):
-            raise ValueError("weights, means and covs must have equal length")
-        return cls(_stacked_components(weights, means, covs))
+        return cls._of(_stack(weights, means, covs))
 
     def renormalized(self) -> "GaussianMixture":
         """Rescale weights to sum to exactly 1."""
-        total = float(self.weights.sum())
-        return GaussianMixture(tuple(c.with_weight(c.weight / total) for c in self.components))
+        weights = self._arr.weights
+        return GaussianMixture._of(replace(self._arr, weights=weights / float(weights.sum())))
+
+    def __reduce__(self):
+        return type(self).from_arrays, (self._arr.weights, self._arr.means, self._arr.covs)
 
 
 def _require_normalized(m: GaussianMixture):
@@ -115,9 +141,14 @@ def _require_normalized(m: GaussianMixture):
         raise ValueError(f"mixture weights sum to {float(m.weights.sum()):.12g}, expected 1 within {WEIGHT_SUM_ATOL}")
 
 
-def _check_index(m: GaussianMixture, idx: int, name: str):
-    if not 1 <= idx <= m.size:
-        raise ValueError(f"{name} index {idx} out of range for mixture of size {m.size} (indices are 1-based)")
+def _check_hypothesis(m: GaussianMixture, h) -> None:
+    """``h`` is a prune or a merge, and its 1-based indices lie in range for ``m``."""
+    if not isinstance(h, (Prune, Merge)):
+        raise ValueError(f"unknown hypothesis type: {h!r}")
+    for idx in vars(h).values():
+        if not 1 <= idx <= m.size:
+            name = type(h).__name__.lower()
+            raise ValueError(f"{name} index {idx} out of range for mixture of size {m.size} (indices are 1-based)")
 
 
 def log_pdf(m: GaussianMixture, x) -> float | np.ndarray:
@@ -137,7 +168,7 @@ def _component_log_pdf(m: GaussianMixture, pts: np.ndarray) -> np.ndarray:
     """The (n, size) matrix of log w_k + log q_k(x_i) for (n, k) points."""
     if pts.shape[1] != m.dim:
         raise ValueError(f"point dimension {pts.shape[1]} does not match mixture dimension {m.dim}")
-    return _weighted_log_pdfs(ComponentArrays.of(m.components), pts)
+    return _weighted_log_pdfs(m._arr, pts)
 
 
 def pdf(m: GaussianMixture, x) -> float | np.ndarray:
@@ -156,16 +187,13 @@ def apply(m: GaussianMixture, h: Hypothesis) -> GaussianMixture:
     applications cannot drift.  The step itself is :func:`_apply`.
     """
     _require_normalized(m)
+    _check_hypothesis(m, h)
     if isinstance(h, Prune):
-        _check_index(m, h.j, "prune")
         if m.size == 1:
             raise ValueError("cannot prune the only component")
-        if 1.0 - m.components[h.j - 1].weight <= 0.0:
+        if 1.0 - m._arr.weights[h.j - 1] <= 0.0:
             raise ValueError(f"cannot prune component {h.j}: it carries all of the mass")
-    elif isinstance(h, Merge):
-        _check_index(m, h.i, "merge")
-        _check_index(m, h.j, "merge")
-    return GaussianMixture(_components(_apply(ComponentArrays.of(m.components), h)))
+    return GaussianMixture._of(_apply(m._arr, h))
 
 
 def _apply(arr: ComponentArrays, h: Hypothesis) -> ComponentArrays:
@@ -201,14 +229,14 @@ def sample(m: GaussianMixture, n: int, seed, return_components: bool = False):
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     rng = np.random.default_rng(seed)
-    weights = m.weights
-    idx = rng.choice(m.size, size=n, p=weights / weights.sum())
+    arr = m._arr
+    idx = rng.choice(m.size, size=n, p=arr.weights / arr.weights.sum())
     z = rng.standard_normal((n, m.dim))
     pts = np.empty((n, m.dim))
-    for i, c in enumerate(m.components):
+    for i in range(m.size):
         hit = idx == i
         if np.any(hit):
-            pts[hit] = c.mean + z[hit] @ c.chol.T
+            pts[hit] = arr.means[i] + z[hit] @ arr.chols[i].T
     if return_components:
         return pts, idx + 1
     return pts

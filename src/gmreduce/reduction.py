@@ -81,7 +81,6 @@ from .costs import (
 )
 from .gauss import (
     ComponentArrays,
-    _components,
     _whiten,
     moment_match_merge,  # noqa: F401 -- kept importable here for call tracers
 )
@@ -218,8 +217,8 @@ def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = No
     """The argument checks of both engines; the target is checked only when given."""
     if not isinstance(kind, CostKind):
         raise ValueError(f"kind must be a CostKind, got {kind!r}")
-    if target is not None and not 1 <= target <= m.size:
-        raise ValueError(f"target must lie in [1, {m.size}], got {target}")
+    if target is not None and not (mix._is_integer(target) and 1 <= target <= m.size):
+        raise ValueError(f"target must be an integer in [1, {m.size}], got {target!r}")
     if target is not None and not m.is_normalized:
         raise ValueError("reduction requires a normalized mixture")
 
@@ -229,8 +228,7 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
     _check_arguments(m, kind)
     n = m.size
     prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n, np.inf)
-    arr = ComponentArrays.of(m.components)
-    table = CostTable(kind, arr, np.full((n, n), np.inf), prune_cost, np.zeros((n, n), dtype=bool))
+    table = CostTable(kind, m._arr, np.full((n, n), np.inf), prune_cost, np.zeros((n, n), dtype=bool))
     if kind is CostKind.WILLIAMS_ISE:
         table.gram = np.empty((n, n))
     else:
@@ -345,7 +343,7 @@ def reduce(
         if table.size - 1 == target:
             break
         update_cost_table(table, chosen, counter=counter)
-    out = GaussianMixture(_components(mix._apply(table.arr, chosen)))
+    out = GaussianMixture._of(mix._apply(table.arr, chosen))
     return out, ReductionTrace(kind, tuple(steps), counter.total, tuple(per_step), tuple(skipped))
 
 

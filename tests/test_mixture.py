@@ -1,6 +1,8 @@
 """Mixture container, density evaluation, hypothesis application, sampling."""
 
 import math
+import pickle
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -95,6 +97,32 @@ def test_from_arrays():
         GaussianMixture.from_arrays([0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
 
 
+def _stack_bits(components):
+    return [(c.weight, c.mean.tobytes(), c.cov.tobytes(), c.chol.tobytes(), c.log_det) for c in components]
+
+
+def test_pickling_and_immutability_of_the_stack():
+    rng = np.random.default_rng(35)
+    m = random_mixture(rng, 4, 3)
+    arrays = GaussianMixture.from_arrays(m.weights, [c.mean for c in m.components], [c.cov for c in m.components])
+    c = m.components[2]
+    assert _stack_bits([pickle.loads(pickle.dumps(c))]) == _stack_bits([c])
+    for mixture in (m, arrays):
+        back = pickle.loads(pickle.dumps(mixture))
+        assert _stack_bits(back.components) == _stack_bits(mixture.components)
+        assert not any(getattr(back._arr, f.name).flags.writeable for f in fields(back._arr))
+        with pytest.raises(FrozenInstanceError):
+            back.components = ()
+    with pytest.raises(FrozenInstanceError):
+        c.weight = 0.5
+    weights = m.weights
+    weights[0] = 0.0
+    assert m.weights[0] > 0.0
+    for i, comp in enumerate(m.components):
+        assert np.shares_memory(comp.chol, m._arr.chols)
+        assert np.array_equal(comp.chol, m._arr.chols[i])
+
+
 def test_apply_prune_renormalizes():
     rng = np.random.default_rng(33)
     m = random_mixture(rng, 4, 2)
@@ -168,6 +196,12 @@ def test_merge_index_validation():
         Merge(2, 1)
     with pytest.raises(ValueError):
         Merge(1, 1)
+    # A bool or a float index would be read as a number, or fail only when applied.
+    for bad in (lambda: Prune(True), lambda: Prune(2.0), lambda: Merge(1, 2.5), lambda: Merge(True, 2)):
+        with pytest.raises(ValueError, match="integer"):
+            bad()
+    assert Prune(np.int64(2)) == Prune(2)
+    assert Merge(np.int32(1), 2) == Merge(1, 2)
 
 
 def test_sample_deterministic():

@@ -240,6 +240,12 @@ def test_reduce_validation():
         reduce(m, 1, "arkl")
     with pytest.raises(ValueError):
         reference_reduce(m, 0, CostKind.ARKL_FULL)
+    # A non-integer target is refused by both engines, not compared as a number.
+    for target in (2.5, True, np.float64(2.0)):
+        for engine in (reduce, reference_reduce):
+            with pytest.raises(ValueError, match="target"):
+                engine(m, target, CostKind.ARKL_FULL)
+    assert reduce(m, np.int64(2), CostKind.ARKL_FULL)[0].size == 2
     heavy = GaussianMixture(
         tuple(c.with_weight(2.0 * c.weight) for c in m.components)
     )

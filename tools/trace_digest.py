@@ -12,7 +12,7 @@ all four methods, once to 1 component and once by 4 steps, with
 * ``degenerate``: well-conditioned mixtures with one component moved to
   +-1e200, so that its merges cannot be moment-matched.
 
-It prints four SHA-256 digests.  The core digest covers each
+It prints six SHA-256 digests.  The core digest covers each
 reduction's chosen hypotheses, costs (as hex), flags, ``all_costs``,
 evaluation counts, and the output weights, means, covariances, Cholesky
 factors and log determinants; a reduction that raises contributes its
@@ -28,6 +28,17 @@ same choices, flags and skips to the same outputs, whatever the last
 digits of their costs.  The script also reports on how many reductions
 of the degenerate family ``skipped`` equals that of
 ``reference_reduce``.
+
+The ``api`` digest covers the public functions around the engines on the
+first ``API_PER_FAMILY`` mixtures of the ``bench`` and ``ill`` families:
+the stack that ``GaussianMixture.from_arrays`` builds, ``apply`` of every
+hypothesis, the mixture ``log_pdf`` at seeded points, ``sample`` at a
+seed, ``hypothesis_cost`` of every hypothesis under all four methods, and
+``kld_gauss``, ``gaussian_overlap``, ``moment_match_merge`` and
+``expected_log`` of the first two components.  The ``switched`` digest
+covers ``product_decompose`` of the first two components and
+``switched_divergence`` of the first three.  A call that raises
+contributes its error type instead.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ import numpy as np
 
 FAMILIES = ("bench", "ill", "degenerate")
 PER_FAMILY = 100
+API_PER_FAMILY = 20
 
 
 def _spd(rng, dim: int, log_cond: float) -> np.ndarray:
@@ -85,11 +97,56 @@ def _core_record(trace, out) -> tuple:
         )
         for s in trace.steps
     ]
-    comps = [
-        (c.weight.hex(), c.mean.tobytes().hex(), c.cov.tobytes().hex(), c.chol.tobytes().hex(), c.log_det.hex())
-        for c in out.components
-    ]
-    return (steps, trace.eval_count, trace.per_step_eval_counts, comps)
+    return (steps, trace.eval_count, trace.per_step_eval_counts, _stack_record(out))
+
+
+def _stack_record(m) -> list:
+    return [_component_record(c) for c in m.components]
+
+
+def _component_record(c) -> tuple:
+    return (c.weight.hex(), c.mean.tobytes().hex(), c.cov.tobytes().hex(), c.chol.tobytes().hex(), c.log_det.hex())
+
+
+def _outcome(fn, *args, record=lambda value: float(value).hex()):
+    """``record`` of what ``fn(*args)`` returns, or the type of the error it raises."""
+    try:
+        return record(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _api_records(family: str, index: int):
+    """(api record, switched record) of one mixture, or its construction error twice."""
+    import gmreduce as gm
+    from gmreduce import mixture
+
+    arrays = _arrays(family, index)
+    try:
+        m = gm.GaussianMixture.from_arrays(*arrays)
+    except Exception as exc:
+        return (type(exc).__name__,) * 2
+    rng = np.random.default_rng([len(FAMILIES) + FAMILIES.index(family), index])
+    points = rng.normal(0.0, 3.0, (16, m.dim))
+    a, b, c = m.components[:3]
+    api = (
+        _stack_record(m),
+        [_outcome(gm.apply, m, h, record=_stack_record) for h in gm.enumerate_hypotheses(m)],
+        _outcome(mixture.log_pdf, m, points, record=lambda v: v.tobytes().hex()),
+        _outcome(gm.sample, m, 16, index, record=lambda v: v.tobytes().hex()),
+        [
+            [_outcome(gm.hypothesis_cost, m, h, kind) for h in gm.enumerate_hypotheses(m, kind.include_pruning)]
+            for kind in gm.CostKind
+        ],
+        [_outcome(fn, a, b) for fn in (gm.kld_gauss, gm.gaussian_overlap, gm.expected_log)],
+        _outcome(gm.moment_match_merge, a, b, record=_component_record),
+    )
+    product = _outcome(gm.product_decompose, a, b, record=_decomposition_record)
+    return api, (product, _outcome(gm.switched_divergence, a, b, c))
+
+
+def _decomposition_record(d) -> tuple:
+    return (d.scale.hex(), d.mean_star.tobytes().hex(), d.cov_star.tobytes().hex())
 
 
 def _decisions_record(trace, out) -> tuple:
@@ -109,7 +166,12 @@ def main(argv=None) -> int:
     from gmreduce import CostKind, GaussianMixture, reduce, reference_reduce
 
     warnings.simplefilter("error", RuntimeWarning)
-    core, decisions, skipped, reference = (hashlib.sha256() for _ in range(4))
+    core, decisions, skipped, reference, api, switched = (hashlib.sha256() for _ in range(6))
+    for family in FAMILIES[:2]:
+        for index in range(API_PER_FAMILY):
+            api_record, switched_record = _api_records(family, index)
+            api.update(repr((family, index, api_record)).encode())
+            switched.update(repr((family, index, switched_record)).encode())
     tally = dict.fromkeys(("mixtures", "steps", "flagged", "errors", "skipped", "agree", "compared"), 0)
     for family in FAMILIES:
         for index in range(PER_FAMILY):
@@ -149,6 +211,8 @@ def main(argv=None) -> int:
     print(f"decisions  {decisions.hexdigest()}")
     print(f"skipped    {skipped.hexdigest()}")
     print(f"reference  {reference.hexdigest()}")
+    print(f"api        {api.hexdigest()}")
+    print(f"switched   {switched.hexdigest()}")
     print(
         f"{tally['mixtures']} mixtures, {tally['steps']} steps, {tally['flagged']} flagged, "
         f"{tally['errors']} all-degenerate errors, {tally['skipped']} skipped entries; "
