@@ -255,9 +255,9 @@ def _arkl_exponents(
     sep = np.hypot.reduce(_solve_lower(pooled, (b.means - a.means)[:, :, None]).transpose(1, 2, 0)[:, 0], axis=0)
     # delta^T S_pool^-1 x under q_ab, whose covariance is S_pool + pa pb delta delta^T,
     # has variance t (1 + pa pb t) with t = sep^2.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         sd_pooled = sep * np.hypot(1.0, np.sqrt(pa * pb) * sep)
-    mean = np.log(b.weights / a.weights) + d_a - d_b
+        mean = np.log(b.weights / a.weights) + d_a - d_b
     gap = _softplus_jensen_gap(mean, np.minimum(sd_full, sd_pooled))
     e_a, e_b = d_a - gap, d_b - gap
     # A divergence that overflows leaves the gap at inf - inf.

@@ -302,12 +302,12 @@ def _overlaps(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
     two valid covariances fails to factorize only by overflow, which
     raises ``LinAlgError`` for the whole stack.
     """
-    chol, log_det, ok = _cholesky(a.covs + b.covs)
-    if not np.all(ok):
-        raise np.linalg.LinAlgError("a covariance sum of an overlap is not positive definite")
-    offset = a.means - b.means
-    z = _solve_lower(chol, offset[:, :, None]).transpose(1, 2, 0)[:, 0]
     with np.errstate(over="ignore"):
+        chol, log_det, ok = _cholesky(a.covs + b.covs)
+        if not np.all(ok):
+            raise np.linalg.LinAlgError("a covariance sum of an overlap is not positive definite")
+        offset = a.means - b.means
+        z = _solve_lower(chol, offset[:, :, None]).transpose(1, 2, 0)[:, 0]
         return np.exp(-0.5 * (offset.shape[1] * _LOG_2PI + log_det + _sum_leading(z * z)))
 
 

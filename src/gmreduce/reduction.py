@@ -44,11 +44,11 @@ evaluation, done as one stacked call per component so that memory stays
 proportional to the number of pairs.
 
 A merge candidate whose moment match overflows or fails to factorize, or
-whose merge exponents are not finite, is assigned +inf cost and marked
-in the table's ``degenerate`` matrix; the other pairs of its batch are
-unaffected.  Each step reads the merges it skipped off that matrix, so
-a degenerate pair is recorded at every step it survives, as the
-reference engine records it.
+whose merge exponents are not finite, gets +inf kernels and so +inf
+cost; the other pairs of its batch are unaffected.  A merge is skipped
+exactly where it is priced +inf, whatever the cause, so each step reads
+the merges it skipped off its own prices: the reference engine's rule,
+applied at every step the pair survives.
 
 :func:`reference_reduce` prices every hypothesis from scratch through
 :func:`gmreduce.costs.hypothesis_cost`: divergence costs as batches of
@@ -132,23 +132,23 @@ _KERNEL_FIELD = {CostKind.RUNNALLS_B: "kld", CostKind.ARKL_SIMPLE: "kld", CostKi
 class CostTable:
     """The whole state of the greedy engine: the current components and their costs.
 
-    ``arr`` holds the current components in canonical order.
-    ``pair_cost[i0, j0]`` (0-based, upper triangle, +inf elsewhere) is
-    the current cost of merging that pair and ``prune_cost[j0]`` that of
-    the corresponding prune (``None`` for the merge-only method).
-    ``pairwise_kld[a, b]`` holds D(component a || component b) for the
-    refined prune cost; ``gram`` holds pairwise overlap integrals for
-    the squared-error method.  ``kernel_a``/``kernel_b`` are the per-pair
-    weight-independent merge kernels, +inf off the upper triangle and at
-    the pairs marked ``degenerate``: the upper pairs whose merge cannot
-    be priced.  :func:`update_cost_table` advances every field in place.
+    ``arr`` holds the current components in canonical order.  Prices,
+    recomputed at every step and ``None`` before the first:
+    ``pair_cost[i0, j0]`` (0-based, upper triangle, +inf elsewhere and
+    where the merge cannot be priced) is the cost of merging that pair,
+    ``prune_cost[j0]`` that of the prune (``None`` for the merge-only
+    method).  Statistics carried across steps: ``pairwise_kld[a, b]`` is
+    D(component a || component b) for the refined prune cost, ``gram``
+    the overlap integrals for the squared-error method, and
+    ``kernel_a``/``kernel_b`` the weight-independent merge kernels, +inf
+    off the upper triangle and where they cannot be evaluated.
+    :func:`update_cost_table` advances every field in place.
     """
 
     kind: CostKind
     arr: ComponentArrays
-    pair_cost: np.ndarray
-    prune_cost: np.ndarray | None
-    degenerate: np.ndarray
+    pair_cost: np.ndarray | None = None
+    prune_cost: np.ndarray | None = None
     pairwise_kld: np.ndarray | None = None
     gram: np.ndarray | None = None
     kernel_a: np.ndarray | None = None
@@ -156,7 +156,7 @@ class CostTable:
 
     @property
     def size(self) -> int:
-        return self.pair_cost.shape[0]
+        return len(self.arr)
 
 
 def _fill(table: CostTable, fresh: np.ndarray, counter: EvalCounter | None) -> None:
@@ -164,9 +164,9 @@ def _fill(table: CostTable, fresh: np.ndarray, counter: EvalCounter | None) -> N
 
     One batch per statistic: Gram entries on and above the diagonal, or
     ordered pairwise divergences and upper-triangle merge kernels.  A
-    pair whose kernels cannot be evaluated gets +inf kernels and is
-    marked degenerate; the others are unmarked.  Bills one unit per Gram
-    entry and per divergence, two per pair with valid kernels.
+    pair whose kernels cannot be evaluated gets +inf kernels, which
+    price its merge at +inf.  Bills one unit per Gram entry and per
+    divergence, two per pair with valid kernels.
     """
     arr = table.arr
     rows, cols = np.nonzero(fresh[:, None] | fresh)
@@ -183,34 +183,33 @@ def _fill(table: CostTable, fresh: np.ndarray, counter: EvalCounter | None) -> N
     k_a, k_b, ok = _merge_kernels(table.kind, arr.take(i0), arr.take(j0))
     table.kernel_a[i0, j0] = np.where(ok, k_a, np.inf)
     table.kernel_b[i0, j0] = np.where(ok, k_b, np.inf)
-    table.degenerate[i0, j0] = ~ok
     _bill(counter, _KERNEL_FIELD[table.kind], 2 * int(np.count_nonzero(ok)))
 
 
 def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
-    """Reassemble every prune cost and the cost of every upper pair under the current weights.
+    """Price every prune and every upper pair afresh under the current weights.
 
     The divergence methods price the whole matrix from the cached
     kernels.  The squared-error method evaluates each candidate merge's
-    overlaps with the n current components, n + 1 per valid pair, and
-    marks degenerate exactly the pairs whose moment match fails.
+    overlaps with the n current components, n + 1 per pair whose moment
+    match succeeds; the others cost +inf.
     """
     kind, arr = table.kind, table.arr
     n, w = len(arr), arr.weights
     if kind is CostKind.WILLIAMS_ISE:
         iu, ju = np.triu_indices(n, k=1)
         s, t = _gram_stats(w, table.gram)
-        table.prune_cost[:] = _prune_ise_from_gram(w, table.gram, s, t, np.arange(n))
+        table.prune_cost = _prune_ise_from_gram(w, table.gram, s, t, np.arange(n))
         costs, ok = _williams_merge_costs(arr, table.gram, s, t, iu, ju)
+        table.pair_cost = np.full((n, n), np.inf)
         table.pair_cost[iu, ju] = costs
-        table.degenerate[iu, ju] = ~ok
         _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
         return
     table.pair_cost = _pair_costs(kind, w[:, None], w, table.kernel_a, table.kernel_b)
     if kind is CostKind.ARKL_SIMPLE:
-        table.prune_cost[:] = _crude_prune(w)
+        table.prune_cost = _crude_prune(w)
     elif kind is CostKind.ARKL_FULL:
-        table.prune_cost[:] = _arkl_prune_terms(w, table.pairwise_kld, np.arange(n)).min(axis=0)
+        table.prune_cost = _arkl_prune_terms(w, table.pairwise_kld, np.arange(n)).min(axis=0)
 
 
 def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = None) -> None:
@@ -227,8 +226,7 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
     """Evaluate all hypothesis costs for ``m`` from scratch: a fill with every component fresh."""
     _check_arguments(m, kind)
     n = m.size
-    prune_cost = None if kind is CostKind.RUNNALLS_B else np.full(n, np.inf)
-    table = CostTable(kind, m._arr, np.full((n, n), np.inf), prune_cost, np.zeros((n, n), dtype=bool))
+    table = CostTable(kind, m._arr)
     if kind is CostKind.WILLIAMS_ISE:
         table.gram = np.empty((n, n))
     else:
@@ -241,26 +239,26 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
 
 
 def _delete_rc(table: CostTable, idx: int) -> None:
-    """Delete entry ``idx`` along every axis of every cached array of ``table``."""
+    """Delete row and column ``idx`` of every cached statistic of ``table``; the prices are recomputed."""
     keep = np.delete(np.arange(table.size), idx)
     grid = np.ix_(keep, keep)
-    for name in ("pair_cost", "prune_cost", "degenerate", "pairwise_kld", "gram", "kernel_a", "kernel_b"):
+    for name in ("pairwise_kld", "gram", "kernel_a", "kernel_b"):
         cached = getattr(table, name)
         if cached is not None:
-            setattr(table, name, cached[grid if cached.ndim == 2 else keep])
+            setattr(table, name, cached[grid])
 
 
 def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounter | None = None) -> None:
     """Advance a cost table in place across one applied hypothesis.
 
-    The table's components move one step through :func:`mixture._apply`,
-    row and column j of every cached matrix are deleted, and a merge
+    Row and column j of every cached matrix are deleted, the table's
+    components move one step through :func:`mixture._apply`, and a merge
     refills the pairs of the merged component i (:func:`_fill` with only
     i fresh).  Every other kernel, pairwise divergence and Gram entry is
-    carried over.
+    carried over, and every price is recomputed.
     """
-    table.arr = mix._apply(table.arr, applied)
     _delete_rc(table, applied.j - 1)
+    table.arr = mix._apply(table.arr, applied)
     # A prune adds no component, and `arkl` kernels cannot take an empty batch.
     if isinstance(applied, Merge):
         _fill(table, np.arange(table.size) == applied.i - 1, counter)
@@ -288,8 +286,8 @@ class TraceStep:
 class ReductionTrace:
     """Full record of a greedy reduction, sufficient to replay it.
 
-    ``skipped`` lists (step index, merge) pairs: every merge excluded as
-    degenerate at that step, listed at each step it survives.  Step
+    ``skipped`` lists (step index, merge) pairs: every merge priced +inf
+    at that step, listed at each step it survives.  Step
     indices are 0-based positions into ``steps``; merge indices are
     those of the mixture at that step.
     """
@@ -320,8 +318,9 @@ def reduce(
     skipped: list[tuple[int, Merge]] = []
     table = build_cost_table(m, kind, counter)
     while True:
-        bad_i, bad_j = np.nonzero(table.degenerate)
-        skipped.extend((len(steps), Merge(i + 1, j + 1)) for i, j in zip(bad_i.tolist(), bad_j.tolist()))
+        bad_i, bad_j = np.nonzero(table.pair_cost == np.inf)  # the lower triangle too
+        upper = bad_i < bad_j
+        skipped.extend((len(steps), Merge(i + 1, j + 1)) for i, j in zip(bad_i[upper].tolist(), bad_j[upper].tolist()))
         # Canonical order: ties go to prunes, then to the first pair in row-major order.
         i, j = divmod(int(np.argmin(table.pair_cost)), table.size)
         cost = float(table.pair_cost[i, j])
@@ -389,7 +388,7 @@ def reference_reduce(
         hyps = enumerate_hypotheses(cur, kind.include_pruning)
         costs_arr = np.array([_naive_cost(cur, h, kind, counter) for h in hyps])
         for pos, h in enumerate(hyps):
-            if isinstance(h, Merge) and np.isinf(costs_arr[pos]):
+            if isinstance(h, Merge) and costs_arr[pos] == np.inf:
                 skipped.append((len(steps), h))
         pick = int(np.argmin(costs_arr))
         cost = float(costs_arr[pick])

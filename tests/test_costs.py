@@ -88,6 +88,13 @@ def test_gaussian_overlap_matches_scipy():
         assert abs(gaussian_overlap(a, b) - gaussian_overlap(b, a)) < 1e-15
 
 
+def test_gaussian_overlap_of_an_overflowing_covariance_sum_raises():
+    """S_a + S_b overflows to inf: the documented LinAlgError, not an overflow warning."""
+    c = GaussianComponent(1.0, [0.0], [[1e308]])
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        gaussian_overlap(c, c)
+
+
 def test_ise_known_single_gaussian_pair():
     # ISE(N(0,1), N(m,1)) = (1 - exp(-m^2/4)) / sqrt(pi)
     for m in (0.5, 1.0, 2.0, 5.0):

@@ -97,7 +97,7 @@ def test_update_table_matches_fresh_build(case):
     for f in fields(want):
         assert np.array_equal(getattr(updated.arr, f.name), getattr(want, f.name))
     fresh = build_cost_table(after, kind)
-    assert np.array_equal(updated.degenerate, fresh.degenerate)
+    assert np.array_equal(updated.pair_cost == np.inf, fresh.pair_cost == np.inf)
     # A fresh build recomputes kernels from the renormalized weights,
     # which moves the merged moments by an ulp, so the match is
     # near-bitwise rather than exact.
@@ -336,6 +336,19 @@ def test_arkl_merge_with_overflowing_exponent_is_degenerate():
     costs = trace.steps[0].all_costs
     assert costs[Merge(1, 2)] == np.inf
     assert all(np.isfinite(c) for h, c in costs.items() if h != Merge(1, 2))
+
+
+def test_a_merge_priced_inf_by_overflowing_kernels_is_skipped_by_both_engines():
+    """Both kernels of Merge(1, 2) overflow though its moment match is valid: one skip rule for both engines."""
+    m = GaussianMixture.from_arrays([0.4, 0.4, 0.2], [[0.0], [1e150], [3.0]], [[[1e-20]], [[1e-20]], [[1.0]]])
+    for kind in ALL_KINDS:
+        fast, fast_trace = reduce(m, 1, kind)
+        slow, slow_trace = reference_reduce(m, 1, kind)
+        assert [s.chosen for s in fast_trace.steps] == [s.chosen for s in slow_trace.steps]
+        assert fast_trace.skipped == slow_trace.skipped
+        assert _mixtures_equal(fast, slow)
+    _, trace = reduce(m, 1, CostKind.ARKL_SIMPLE)
+    assert trace.skipped == ((0, Merge(1, 2)), (1, Merge(1, 2)))
 
 
 def test_eval_counts_are_consistent():

@@ -12,7 +12,7 @@ all four methods, once to 1 component and once by 4 steps, with
 * ``degenerate``: well-conditioned mixtures with one component moved to
   +-1e200, so that its merges cannot be moment-matched.
 
-It prints six SHA-256 digests.  The core digest covers each
+It prints seven SHA-256 digests.  The core digest covers each
 reduction's chosen hypotheses, costs (as hex), flags, ``all_costs``,
 evaluation counts, and the output weights, means, covariances, Cholesky
 factors and log determinants; a reduction that raises contributes its
@@ -39,6 +39,17 @@ seed, ``hypothesis_cost`` of every hypothesis under all four methods, and
 covers ``product_decompose`` of the first two components and
 ``switched_divergence`` of the first three.  A call that raises
 contributes its error type instead.
+
+The ``narrow`` digest covers a seventh family, kept apart so that the
+six digests above do not depend on it: ``PER_FAMILY`` mixtures of 3 to 8
+components in d <= 3 whose components 1 and 2 have their covariances
+scaled by 1e-20 and whose component 2 is moved 1e150 away, so that the
+kernels of their merges overflow while the moment matches hold.  Each is
+reduced to 1 under all four methods by both engines; the digest covers
+each run's chosen hypotheses, costs, ``skipped`` and output, or its
+error type and message.  The script reports, per method, on how many of
+them the engines agree: the same choices and ``skipped``, or the same
+error type.
 """
 
 from __future__ import annotations
@@ -80,6 +91,29 @@ def _arrays(family: str, index: int):
         means[rng.integers(size)] = rng.choice([-1e200, 1e200])
         covs = [_spd(rng, dim, rng.uniform(0.0, 2.0)) for _ in range(size)]
     return weights / weights.sum(), means, covs
+
+
+def _narrow_arrays(index: int):
+    """(weights, means, covs) of one ``narrow`` mixture, before normalization."""
+    rng = np.random.default_rng([2 * len(FAMILIES), index])
+    size, dim = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+    weights = rng.uniform(0.2, 1.0, size)
+    means = rng.uniform(-4.0, 4.0, (size, dim))
+    covs = np.array([_spd(rng, dim, rng.uniform(0.0, 2.0)) for _ in range(size)])
+    covs[:2] *= 1e-20
+    direction = rng.normal(size=dim)
+    means[1] += 1e150 * direction / np.linalg.norm(direction)
+    return weights / weights.sum(), means, covs
+
+
+def _narrow_outcome(engine, m, kind):
+    """(agreement key, digest record) of one reduction to 1, or of the error it raises."""
+    try:
+        out, trace = engine(m, 1, kind)
+    except Exception as exc:
+        return type(exc).__name__, (type(exc).__name__, str(exc))
+    skipped = _skipped_record(trace)
+    return ([_hyp(s.chosen) for s in trace.steps], skipped), (_core_record(trace, out), skipped)
 
 
 def _hyp(h) -> tuple:
@@ -207,17 +241,28 @@ def main(argv=None) -> int:
                             continue
                         tally["agree"] += ref_trace.skipped == trace.skipped
                         reference.update(repr((key, _core_record(ref_trace, ref_out), _skipped_record(ref_trace))).encode())
+    narrow = hashlib.sha256()
+    narrow_agree = dict.fromkeys(CostKind, 0)
+    for index in range(PER_FAMILY):
+        m = GaussianMixture.from_arrays(*_narrow_arrays(index))
+        for kind in CostKind:
+            (fast_key, fast), (ref_key, ref) = (_narrow_outcome(e, m, kind) for e in (reduce, reference_reduce))
+            narrow_agree[kind] += fast_key == ref_key
+            narrow.update(repr((index, kind.value, fast, ref)).encode())
     print(f"core       {core.hexdigest()}")
     print(f"decisions  {decisions.hexdigest()}")
     print(f"skipped    {skipped.hexdigest()}")
     print(f"reference  {reference.hexdigest()}")
     print(f"api        {api.hexdigest()}")
     print(f"switched   {switched.hexdigest()}")
+    print(f"narrow     {narrow.hexdigest()}")
     print(
         f"{tally['mixtures']} mixtures, {tally['steps']} steps, {tally['flagged']} flagged, "
         f"{tally['errors']} all-degenerate errors, {tally['skipped']} skipped entries; "
         f"skipped equals the reference engine's on {tally['agree']} of {tally['compared']} degenerate-family reductions"
     )
+    agree = ", ".join(f"{kind.value} {count}" for kind, count in narrow_agree.items())
+    print(f"narrow-family reductions to 1 on which the engines agree, of {PER_FAMILY}: {agree}")
     return 0
 
 
