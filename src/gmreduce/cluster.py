@@ -25,10 +25,8 @@ import numpy as np
 
 from . import mixture as mix
 from .costs import CostKind
-from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _exp_ftz, _log_sum_exp
-from .gauss import _weighted_log_pdfs
-from .mixture import GaussianMixture, Merge, Prune, _apply
-from .mixture import _component_log_pdf  # noqa: F401 -- kept importable here for call tracers
+from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _log_sum_exp
+from .mixture import GaussianMixture, Merge, Prune, _apply, _component_log_pdf
 from .reduction import ReductionTrace, reduce
 
 __all__ = [
@@ -217,12 +215,12 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     all k components at once, in (k, d, n) and (k, n) buffers of the fit:
     one stacked factorization (bumping only the rows that fail, see
     :func:`_factorize`), the weighted log densities of the centred points
-    and their log-sum-exp, whose own exps over their column sums are the
-    responsibilities, then one product for the means and one for the
+    and their log-sum-exp (:func:`gauss._log_sum_exp`), whose shares are
+    the responsibilities, then one product for the means and one for the
     covariances, whose centred points serve the next densities.  A
     component that loses all responsibility is re-seeded at a random
     point (``reinit_events``).  In the loop, not in the returned ones, an
-    exp below e^-700 of its column's largest is 0 (:func:`_exp_ftz`).
+    exp below e^-700 of its column's largest is 0 (:func:`gauss._exp_ftz`).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -243,7 +241,7 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     weights = np.full(k, 1.0 / k)
     points_t = np.ascontiguousarray(points.T)
     centered, work = np.empty((2, k, dim, n))  # centred points; whitened or weighted ones
-    log_terms, exps = np.empty((2, k, n))
+    log_terms, resp = np.empty((2, k, n))
     np.subtract(points_t, means[:, :, None], out=centered)
 
     lls: list[float] = []
@@ -255,15 +253,9 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
         covs, chols, log_dets, bumps = _factorize(covs, eps, _MAX_JITTER_RETRIES)
         jitter_events += int(bumps.sum())
         _centered_log_pdfs(ComponentArrays(weights, means, covs, chols, log_dets), centered, work, log_terms)
-        top = log_terms.max(axis=0)
-        top[np.isneginf(top)] = 0.0
-        resp = _exp_ftz(np.subtract(log_terms, top, out=log_terms), exps)
-        sums = resp.sum(axis=0)
-        with np.errstate(divide="ignore"):
-            total_ll = float(np.sum(top + np.log(sums)))
+        total_ll = float(np.sum(_log_sum_exp(log_terms, resp)[0]))
         if not np.isfinite(total_ll):
             raise EMError(f"log-likelihood became non-finite at iteration {it}")
-        resp /= sums
         if bumps.any():
             perturbed.append(it)
         lls.append(total_ll)
@@ -292,8 +284,8 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     final = ComponentArrays(weights / weights.sum(), means, covs, chols, log_dets)
     # Responsibilities always correspond to the returned parameters (the
     # loop may have ended on a maximization step); `centered` holds the final means.
-    log_terms = _centered_log_pdfs(final, centered, work, log_terms).T
-    resp = np.exp(log_terms - _log_sum_exp(log_terms))
+    log_terms = _centered_log_pdfs(final, centered, work, log_terms)
+    resp = np.exp(log_terms - _log_sum_exp(log_terms, resp)[0]).T
     return EMFit(
         GaussianMixture._of(final),
         resp,
@@ -352,5 +344,5 @@ def reduce_and_reassign(
             moved = (labels == h.i) | (labels == h.j)
             labels = np.where(labels > h.j, labels - 1, labels)
             if np.any(moved):
-                labels[moved] = np.argmax(_weighted_log_pdfs(arr, points[moved]), axis=1) + 1
+                labels[moved] = np.argmax(_component_log_pdf(arr, points[moved]), axis=0) + 1
     return reduced, LabeledDataset(points, labels=labels), trace

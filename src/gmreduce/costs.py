@@ -50,8 +50,9 @@ from .gauss import (
     _cholesky,
     _expected_log,
     _moment_match,
-    _overlaps,
+    _overlap_solves,
     _pair_arrays,
+    _product,
     _solve_lower,
     _whiten,
     _whitenings,
@@ -59,7 +60,7 @@ from .gauss import (
     kld_gauss,
     max_value,
     moment_match_merge,  # noqa: F401 -- kept importable here for call tracers
-    product_decompose,
+    product_decompose,  # noqa: F401 -- kept importable here for call tracers
 )
 from .mixture import GaussianMixture, Hypothesis, Merge, Prune
 
@@ -134,6 +135,14 @@ class DisjointSupportError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
+def _overlaps(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
+    """Overlaps of aligned rows (:func:`~gmreduce.gauss._overlap_solves`); ``LinAlgError`` if a row overflows."""
+    values, _, ok = _overlap_solves(a, b)
+    if not np.all(ok):
+        raise np.linalg.LinAlgError("a covariance sum of an overlap is not positive definite")
+    return values
+
+
 def gaussian_overlap(a: GaussianComponent, b: GaussianComponent) -> float:
     """Integral of the product of two Gaussian densities.
 
@@ -174,8 +183,8 @@ def mc_kld(from_: GaussianMixture, to: GaussianMixture, n: int, seed) -> Diverge
     numerically infinite and :class:`DisjointSupportError` is raised
     with the offending abscissa.
     """
-    if n < 1000:
-        raise ValueError(f"n must be at least 1000 for a usable error estimate, got {n}")
+    if not mix._is_integer(n) or n < 1000:
+        raise ValueError(f"n must be an integer of at least 1000 for a usable error estimate, got {n!r}")
     pts = mix.sample(from_, n, seed)
     lf = mix.log_pdf(from_, pts)
     lt = mix.log_pdf(to, pts)
@@ -412,17 +421,14 @@ def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianC
 
     q* enters only through its moments, so its covariance -- a
     difference of matrices that need not factorize when q_k is nearly
-    singular -- is never factorized.  E*[log q_k] avoids S_k^-1
-    altogether: with S = S_i + S_k = L L^T and z = L^-1 (m_i - m_k), it
-    uses tr(S_k^-1 S*) = tr(S^-1 S_i) = |L^-1 L_i|_F^2 and, as
-    m* - m_k = S_k S^-1 (m_i - m_k), the Mahalanobis term |(L^-1 L_k)^T z|^2.
+    singular -- is never factorized.  E*[log q_k] avoids S_k^-1: with
+    the call's one factorization S = S_i + S_k = L L^T and z = L^-1
+    (m_i - m_k), it uses tr(S_k^-1 S*) = tr(S^-1 S_i) = |L^-1 L_i|_F^2
+    and, as m* - m_k = S_k S^-1 (m_i - m_k), the Mahalanobis term |(L^-1 L_k)^T z|^2.
     """
-    pd = product_decompose(i, k)
+    pd, sol = _product(i, k, i._arr.chols, k._arr.chols)
     # (2 pi)^(k/2) |cov_i|^(1/2) N(mean_i; mean_k, cov_k + cov_i), in [0, 1]
     ratio = pd.scale / max_value(i)
-    # product_decompose has refused a covariance sum that does not factorize.
-    chol, _, _ = _cholesky((i.cov + k.cov)[None])
-    sol = _solve_lower(chol, np.column_stack([i.chol, k.chol, i.mean - k.mean])[None])[0]
     w_i, w_k, z = sol[:, : k.dim], sol[:, k.dim : -1], sol[:, -1]
     elog_k = -0.5 * (k.dim * _LOG_2PI + k.log_det + float(np.sum(w_i * w_i)) + float(np.sum(np.square(z @ w_k))))
     elog_j = _expected_log(pd.mean_star, pd.cov_star, j)
@@ -478,9 +484,9 @@ def _williams_merge_costs(
     Each candidate's overlaps with the current components are evaluated
     in one stacked call per component, so memory stays proportional to
     the number of pairs; everything else comes from the Gram matrix of
-    the unmodified mixture.  A pair whose moment match fails is flagged
-    False and costs +inf.  Costs n + 1 overlaps per flagged-True pair
-    for n components.
+    the unmodified mixture.  A pair whose moment match fails or one of
+    whose overlaps overflows is flagged False and costs +inf, as in the
+    reference engine.  Costs n + 1 overlaps per flagged-True pair.
     """
     w = arr.weights
     merged, ok = _moment_match(arr.take(i0), arr.take(j0))
@@ -489,13 +495,14 @@ def _williams_merge_costs(
     u_i = np.empty(len(cand))
     u_j = np.empty(len(cand))
     wu = np.zeros(len(cand))
+    u_mm, _, valid = _overlap_solves(cand, cand)
     for k in range(len(arr)):
-        u = _overlaps(arr.take([k]), cand)
+        u, _, valid_k = _overlap_solves(arr.take([k]), cand)
+        valid &= valid_k
         wu += w[k] * u
         at_i, at_j = i0 == k, j0 == k
         u_i[at_i] = u[at_i]
         u_j[at_j] = u[at_j]
-    u_mm = _overlaps(cand, cand)
     w_i, w_j = w[i0], w[j0]
     w_m = w_i + w_j
     survivors_sq = (
@@ -507,7 +514,8 @@ def _williams_merge_costs(
     q_sq = survivors_sq + 2.0 * w_m * wu_surv + w_m * w_m * u_mm
     pq = (t - w_i * s[i0] - w_j * s[j0]) + w_m * wu
     costs = np.full(len(ok), np.inf)
-    costs[ok] = t + q_sq - 2.0 * pq
+    ok[ok] = valid
+    costs[ok] = (t + q_sq - 2.0 * pq)[valid]
     return costs, ok
 
 

@@ -23,8 +23,8 @@ the pair axis last, so each numpy call is one long loop, and their sums
 over the k and k^2 axes do not depend on the batch length.  One more stacked
 kernel gives the (component, point) weighted log densities, one product
 whitening each component's centred points; the mixture density and EM
-sum them over the components.  Both flush exps below e^-700 to zero
-(:func:`_exp_ftz`), off exp's slow path.
+sum them in that layout (:func:`_log_sum_exp`), flushing exps below e^-700
+to zero (:func:`_exp_ftz`), off exp's slow path.
 
 Positive definiteness is established by one factorization rule,
 :func:`_cholesky`: a covariance is accepted iff its entries are finite
@@ -295,25 +295,17 @@ def _whitenings(to: ComponentArrays, *froms: ComponentArrays) -> list:
         ]
 
 
-def _overlaps(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
-    """Integral of q_a q_b for aligned rows: N(m_a; m_b, S_a + S_b).
+def _overlap_solves(a: ComponentArrays, b: ComponentArrays, *cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overlaps N(m_a; m_b, S_a + S_b) of aligned rows, L^-1 [cols | m_a - m_b] as (P, k, c), and a flag per row.
 
-    Only the scale of the product decomposition is computed.  A sum of
-    two valid covariances fails to factorize only by overflow, which
-    raises ``LinAlgError`` for the whole stack.
+    One factorization S_a + S_b = L L^T per row.  A sum of two valid covariances
+    fails only by overflow: its row is flagged False, with NaN results.
     """
     with np.errstate(over="ignore"):
         chol, log_det, ok = _cholesky(a.covs + b.covs)
-        if not np.all(ok):
-            raise np.linalg.LinAlgError("a covariance sum of an overlap is not positive definite")
-        offset = a.means - b.means
-        z = _solve_lower(chol, offset[:, :, None]).transpose(1, 2, 0)[:, 0]
-        return np.exp(-0.5 * (offset.shape[1] * _LOG_2PI + log_det + _sum_leading(z * z)))
-
-
-def _weighted_log_pdfs(arr: ComponentArrays, points: np.ndarray) -> np.ndarray:
-    """The (n, P) matrix of log w_p + log q_p(x_i) for (n, k) points (see :func:`_centered_log_pdfs`)."""
-    return _centered_log_pdfs(arr, np.ascontiguousarray(points.T)[None] - arr.means[:, :, None]).T
+        sol = _solve_lower(chol, np.concatenate([*cols, (a.means - b.means)[:, :, None]], axis=2))
+        z = sol.transpose(1, 2, 0)[:, -1]
+        return np.exp(-0.5 * (len(z) * _LOG_2PI + log_det + _sum_leading(z * z))), sol, ok
 
 
 def _centered_log_pdfs(arr: ComponentArrays, centered: np.ndarray, work=None, out=None) -> np.ndarray:
@@ -343,25 +335,30 @@ def _exp_ftz(x: np.ndarray, out=None) -> np.ndarray:
     exp(max(x, _EXP_FLOOR)), then masked: exp never meets a subnormal or
     underflowing result, where it runs many times slower, and NaN
     propagates.  A bare clamp would turn the exact zeros of a collapsed
-    EM component into e^-700.  ``out`` is an optional buffer, not ``x``.
+    EM component into e^-700.  ``out`` is an optional buffer, and may be ``x``.
     """
+    tiny = x < _EXP_FLOOR
     out = np.exp(np.maximum(x, _EXP_FLOOR, out=out), out=out)
-    np.putmask(out, x < _EXP_FLOOR, 0.0)
+    np.putmask(out, tiny, 0.0)
     return out
 
 
-def _log_sum_exp(log_terms: np.ndarray) -> np.ndarray:
-    """Log of the row sums of exp(log_terms), as an (n, 1) column.
+def _log_sum_exp(log_terms: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Log of the sums of exp(log_terms) over the leading axis, and each term's share of its sum.
 
-    Each row is shifted by its maximum, so no term overflows; a row that
-    is -inf everywhere gives -inf.  Flushing the shifted terms with
-    :func:`_exp_ftz` changes no bit: the largest term is exactly 1, and
-    a flushed one is below 1e-304, far under half an ulp of 1.
+    Each column is shifted by its maximum, so no term overflows, and
+    summed in order (:func:`_sum_leading`); an all -inf column gives -inf.
+    The flush (:func:`_exp_ftz`) zeroes shares but no bit of the log: the
+    largest term is exactly 1, and a flushed one is below 1e-304, far
+    under half an ulp of 1.  ``out`` is an optional buffer for the shares.
     """
-    top = log_terms.max(axis=1, keepdims=True)
+    top = log_terms.max(axis=0)
     top[np.isneginf(top)] = 0.0
-    with np.errstate(divide="ignore"):
-        return top + np.log(np.sum(_exp_ftz(log_terms - top), axis=1, keepdims=True))
+    shares = _exp_ftz(np.subtract(log_terms, top, out=out), out)
+    sums = _sum_leading(shares)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares /= sums
+        return top + np.log(sums), shares
 
 
 def _moment_match(a: ComponentArrays, b: ComponentArrays) -> tuple[ComponentArrays, np.ndarray]:
@@ -461,16 +458,21 @@ def product_decompose(a: GaussianComponent, b: GaussianComponent) -> ProductDeco
         m*    = m_a + S_a (S_a + S_b)^-1 (m_b - m_a)
         S*    = S_a - S_a (S_a + S_b)^-1 S_a
 
-    With S_a + S_b = L L^T, z = L^-1 (m_b - m_a) and A = L^-1 S_a, the
-    two products with S_a (S_a + S_b)^-1 are A^T z and A^T A.
+    With S_a + S_b = L L^T, z = L^-1 (m_a - m_b) and A = L^-1 S_a, the
+    two products with S_a (S_a + S_b)^-1 are -A^T z and A^T A, and the
+    scale is the overlap read off the same z: one factorization per call.
     """
-    scale = float(_overlaps(*_pair_arrays(a, b))[0])
-    # _overlaps has refused a covariance sum that does not factorize.
-    chol, _, _ = _cholesky((a.cov + b.cov)[None])
-    sol = _solve_lower(chol, np.column_stack([a.cov, b.mean - a.mean])[None])[0]
-    spread, z = sol[:, :-1], sol[:, -1]
+    return _product(a, b)[0]
+
+
+def _product(a: GaussianComponent, b: GaussianComponent, *cols) -> tuple[ProductDecomposition, np.ndarray]:
+    """:func:`product_decompose`, and L^-1 [cols | m_a - m_b] for (1, k, c) stacks ``cols``, from its one factor L."""
+    scale, sol, ok = _overlap_solves(*_pair_arrays(a, b), a._arr.covs, *cols)
+    if not ok[0]:
+        raise np.linalg.LinAlgError("the covariance sum of a product is not positive definite")
+    spread, rest, z = sol[0, :, : a.dim], sol[0, :, a.dim :], sol[0, :, -1]
     cov_star = a.cov - spread.T @ spread
-    return ProductDecomposition(scale, a.mean + spread.T @ z, 0.5 * (cov_star + cov_star.T))
+    return ProductDecomposition(float(scale[0]), a.mean - spread.T @ z, 0.5 * (cov_star + cov_star.T)), rest
 
 
 def expected_log(under: GaussianComponent, of: GaussianComponent) -> float:

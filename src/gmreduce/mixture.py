@@ -17,8 +17,7 @@ from typing import Union
 import numpy as np
 
 from .constants import WEIGHT_SUM_ATOL
-from .gauss import ComponentArrays, GaussianComponent, _frozen, _log_sum_exp, _moment_match, _stack
-from .gauss import _weighted_log_pdfs
+from .gauss import ComponentArrays, GaussianComponent, _centered_log_pdfs, _frozen, _log_sum_exp, _moment_match, _stack
 from .gauss import moment_match_merge  # noqa: F401 -- kept importable here for call tracers
 
 __all__ = [
@@ -159,16 +158,15 @@ def log_pdf(m: GaussianMixture, x) -> float | np.ndarray:
     not underflow to -inf unless every component underflows.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    out = _log_sum_exp(_component_log_pdf(m, np.atleast_2d(x)))[:, 0]
-    return float(out[0]) if single else out
+    out = _log_sum_exp(_component_log_pdf(m._arr, x[None] if x.ndim == 1 else x))[0]
+    return float(out[0]) if x.ndim == 1 else out
 
 
-def _component_log_pdf(m: GaussianMixture, pts: np.ndarray) -> np.ndarray:
-    """The (n, size) matrix of log w_k + log q_k(x_i) for (n, k) points."""
-    if pts.shape[1] != m.dim:
-        raise ValueError(f"point dimension {pts.shape[1]} does not match mixture dimension {m.dim}")
-    return _weighted_log_pdfs(m._arr, pts)
+def _component_log_pdf(arr: ComponentArrays, pts: np.ndarray) -> np.ndarray:
+    """The (P, n) log w_p + log q_p(x_i) of a stack at (n, k) points (:func:`gauss._centered_log_pdfs`)."""
+    if pts.ndim != 2 or pts.shape[1] != arr.means.shape[1]:
+        raise ValueError(f"points must be (k,) or (n, k) with k = {arr.means.shape[1]}, got shape {pts.shape}")
+    return _centered_log_pdfs(arr, np.ascontiguousarray(pts.T)[None] - arr.means[:, :, None])
 
 
 def pdf(m: GaussianMixture, x) -> float | np.ndarray:
@@ -226,8 +224,8 @@ def sample(m: GaussianMixture, n: int, seed, return_components: bool = False):
     of origin for every point.
     """
     _require_normalized(m)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    if not _is_integer(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     rng = np.random.default_rng(seed)
     arr = m._arr
     idx = rng.choice(m.size, size=n, p=arr.weights / arr.weights.sum())

@@ -23,7 +23,7 @@ from gmreduce import (
     six_cluster_mixture,
 )
 from gmreduce import apply as apply_step
-from gmreduce import cluster
+from gmreduce import cluster, gauss
 from gmreduce.cluster import _factorize, _seed_means
 from gmreduce.gauss import _cholesky, _log_sum_exp
 from gmreduce.mixture import _component_log_pdf, log_pdf as mixture_log_pdf
@@ -312,8 +312,8 @@ def _assert_matches_loop(points, cfg):
     fresh = GaussianMixture.from_arrays(fit.mixture.weights, [c.mean for c in comps], [c.cov for c in comps])
     for got, want in zip(comps, fresh.components):
         assert np.array_equal(got.chol, want.chol) and got.log_det == want.log_det
-    log_terms = _component_log_pdf(fresh, points)
-    assert np.array_equal(fit.responsibilities, np.exp(log_terms - _log_sum_exp(log_terms)))
+    log_terms = _component_log_pdf(fresh._arr, points)
+    assert np.array_equal(fit.responsibilities, np.exp(log_terms - _log_sum_exp(log_terms)[0]).T)
     return fit
 
 
@@ -351,23 +351,25 @@ def test_em_flushes_in_loop_responsibilities_below_e_minus_700(monkeypatch):
     seen = []
 
     def spy(x, out=None):
-        # EM hands its reused workspace buffers in: keep copies.
+        # EM hands its reused workspace buffers in, flushed in place: keep copies.
+        arg = x.copy()
         out = flush(x, out)
-        seen.append((x.copy(), out.copy()))
+        seen.append((arg, out.copy()))
         return out
 
-    flush = cluster._exp_ftz
-    monkeypatch.setattr(cluster, "_exp_ftz", spy)
+    flush = gauss._exp_ftz
+    monkeypatch.setattr(gauss, "_exp_ftz", spy)
     fit = em_fit_details(pts, cfg)
     assert fit.jitter_events > 0
-    assert len(seen) == len(fit.log_likelihoods)
+    # One call per iteration, and one for the returned responsibilities' normalizer.
+    assert len(seen) == len(fit.log_likelihoods) + 1
     args = np.concatenate([x.ravel() for x, _ in seen])
     resp = np.concatenate([out.ravel() for _, out in seen])
     assert np.any((args > -745.0) & (args < -700.0))
     assert np.all((resp == 0.0) | (resp >= np.exp(-700.0)))
 
     # On this fixture the flush moves no bit of the fit.
-    monkeypatch.setattr(cluster, "_exp_ftz", np.exp)
+    monkeypatch.setattr(gauss, "_exp_ftz", np.exp)
     plain = em_fit_details(pts, cfg)
     assert plain.log_likelihoods == fit.log_likelihoods
     assert plain.jitter_events == fit.jitter_events
@@ -537,7 +539,7 @@ def _apply_replay_labels(mixture, resp, points, trace):
         else:
             moved = (labels == h.i) | (labels == h.j)
             labels = np.where(labels > h.j, labels - 1, labels)
-            labels[moved] = np.argmax(_component_log_pdf(cur, points[moved]), axis=1) + 1
+            labels[moved] = np.argmax(_component_log_pdf(cur._arr, points[moved]), axis=0) + 1
     return labels
 
 

@@ -33,6 +33,7 @@ from gmreduce import (
     simple_merge_bound,
     switched_divergence,
 )
+from gmreduce import costs, gauss
 from gmreduce.costs import (
     _gram_stats,
     _merge_kernels,
@@ -164,8 +165,9 @@ def test_mc_kld_prune_matches_quadrature():
 
 def test_mc_kld_validation_and_disjoint_support():
     p = GaussianMixture((GaussianComponent(1.0, [0.0], [[1.0]]),))
-    with pytest.raises(ValueError):
-        mc_kld(p, p, 999, seed=0)
+    for bad in (999, 2500.0, np.float64(1e4)):
+        with pytest.raises(ValueError, match="integer"):
+            mc_kld(p, p, bad, seed=0)
     far = GaussianMixture((GaussianComponent(1.0, [1e200], [[1.0]]),))
     with pytest.raises(DisjointSupportError) as info:
         mc_kld(p, far, 1000, seed=0)
@@ -327,6 +329,26 @@ def test_switched_divergence_near_singular_first_argument():
         assert math.isfinite(got)
         assert abs(got - want) <= 1e-3 * max(1.0, abs(want))
     assert unfactorizable > 0
+
+
+def test_switched_divergence_and_product_decompose_factorize_once(monkeypatch):
+    """Each call factorizes S_i + S_k once; the components carry their own factors."""
+    rng = np.random.default_rng(36)
+    k, i, j = (random_component(rng, 3) for _ in range(3))
+    calls = []
+
+    def counting(covs):
+        calls.append(len(covs))
+        return factorize(covs)
+
+    factorize = gauss._cholesky
+    for module in (gauss, costs):
+        monkeypatch.setattr(module, "_cholesky", counting)
+    product_decompose(i, k)
+    assert calls == [1]
+    calls.clear()
+    switched_divergence(k, i, j)
+    assert calls == [1]
 
 
 def test_arkl_merge_cost_assembly():

@@ -29,10 +29,10 @@ from gmreduce.gauss import (
     _exp_ftz,
     _log_sum_exp,
     _solve_lower,
-    _weighted_log_pdfs,
     log_pdf,
     pdf,
 )
+from gmreduce.mixture import _component_log_pdf
 
 
 def test_log_pdf_matches_scipy():
@@ -84,7 +84,7 @@ def _weighted_components_and_points(draw):
 @given(_weighted_components_and_points())
 def test_stacked_weighted_log_pdfs_match_component_log_pdf(case):
     comps, pts = case
-    got = _weighted_log_pdfs(ComponentArrays.of(comps), pts)
+    got = _component_log_pdf(ComponentArrays.of(comps), pts)
     # Independent oracle: LAPACK's triangular solve with each component's factor.
     want = np.stack(
         [
@@ -92,10 +92,9 @@ def test_stacked_weighted_log_pdfs_match_component_log_pdf(case):
             - 0.5 * (c.dim * math.log(2.0 * math.pi) + c.log_det)
             - 0.5 * np.sum(solve_triangular(c.chol, (pts - c.mean).T, lower=True) ** 2, axis=0)
             for c in comps
-        ],
-        axis=1,
+        ]
     )
-    assert got.shape == (len(pts), len(comps))
+    assert got.shape == (len(comps), len(pts))
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
@@ -357,7 +356,7 @@ def test_weighted_log_pdfs_centre_before_whitening(dim):
         [np.vstack([c.mean, c.mean + rng.normal(size=(4, dim)) @ c.chol.T]) for c in comps]
         + [rng.uniform(-2e4, 2e4, size=(4, dim))]
     )
-    got = _weighted_log_pdfs(ComponentArrays.of(comps), pts)
+    got = _component_log_pdf(ComponentArrays.of(comps), pts)
     # Oracle: LAPACK's general solve with each component's factor.
     want = np.stack(
         [
@@ -365,8 +364,7 @@ def test_weighted_log_pdfs_centre_before_whitening(dim):
             - 0.5 * (dim * math.log(2.0 * math.pi) + c.log_det)
             - 0.5 * np.sum(np.linalg.solve(c.chol, (pts - c.mean).T) ** 2, axis=0)
             for c in comps
-        ],
-        axis=1,
+        ]
     )
     assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
@@ -395,10 +393,10 @@ def test_solve_lower_matches_middle_axis_sum_bit_for_bit(k):
 
 
 def _log_sum_exp_unflushed(log_terms):
-    top = log_terms.max(axis=1, keepdims=True)
+    top = log_terms.max(axis=0)
     top[np.isneginf(top)] = 0.0
     with np.errstate(divide="ignore"):
-        return top + np.log(np.sum(np.exp(log_terms - top), axis=1, keepdims=True))
+        return top + np.log(np.sum(np.exp(log_terms - top), axis=0))
 
 
 def test_exp_ftz_flushes_below_floor_only():
@@ -414,20 +412,20 @@ def test_log_sum_exp_matches_unflushed_formula_bit_for_bit():
     rng = np.random.default_rng(701)
     n, k = 400, 15
     top = rng.uniform(-50.0, 50.0, (n, 1))
-    # Offsets from each row's maximum: normal results, results that would
+    # Offsets from each point's maximum: normal results, results that would
     # be subnormal (-720), that underflow (-800), near the floor, and -inf.
     offsets = rng.choice(
         [-0.5, -3.0, -40.0, -699.9, -700.1, -720.0, -745.0, -800.0, -np.inf], size=(n, k)
     ) * rng.uniform(0.99, 1.01, (n, k))
     offsets[:, 0] = 0.0
-    log_terms = top + offsets
-    assert np.any((log_terms - top > -745.2) & (log_terms - top < _EXP_FLOOR))
-    got = _log_sum_exp(log_terms)
+    log_terms = (top + offsets).T  # (component, point)
+    assert np.any((log_terms - top.T > -745.2) & (log_terms - top.T < _EXP_FLOOR))
+    got = _log_sum_exp(log_terms)[0]
     want = _log_sum_exp_unflushed(log_terms)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    edge = np.array([[-np.inf] * 3, [0.0, np.nan, -1.0], [-1000.0, -1720.0, -np.inf]])
-    got = _log_sum_exp(edge)[:, 0]
+    edge = np.array([[-np.inf] * 3, [0.0, np.nan, -1.0], [-1000.0, -1720.0, -np.inf]]).T
+    got = _log_sum_exp(edge)[0]
     assert np.isneginf(got[0])
     assert np.isnan(got[1])
-    assert got[2] == _log_sum_exp_unflushed(edge)[2, 0] == -1000.0
+    assert got[2] == _log_sum_exp_unflushed(edge)[2] == -1000.0

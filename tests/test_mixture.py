@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -56,6 +57,20 @@ def test_log_pdf_matches_direct_sum():
     )
     assert np.allclose(log_pdf(m, xs), direct, rtol=1e-12)
     assert isinstance(log_pdf(m, xs[0]), float)
+    # In d = 1 a point's log density is its row of a batch, bit for bit,
+    # at any mixture size: the components are summed in order either way.
+    for size in (1, 7, 8, 9, 12, 16):
+        for _ in range(10):
+            m = random_mixture(rng, size, 1)
+            xs = rng.uniform(-5.0, 5.0, (5, 1))
+            assert [log_pdf(m, x) for x in xs] == log_pdf(m, xs).tolist()
+
+
+def test_log_pdf_rejects_points_of_another_rank():
+    m = _two_component()
+    for bad in (np.zeros((3, 2, 2)), 0.5):
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(np.shape(bad)))}"):
+            log_pdf(m, bad)
 
 
 def test_log_pdf_remote_point_stays_finite():
@@ -235,8 +250,9 @@ def test_sample_occupancy_and_moments():
 
 def test_sample_validation():
     m = _two_component()
-    with pytest.raises(ValueError):
-        sample(m, -1, seed=0)
+    for bad in (-1, 2.5, 2.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            sample(m, bad, seed=0)
     assert sample(m, 0, seed=0).shape == (0, 1)
 
 

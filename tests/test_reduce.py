@@ -351,6 +351,20 @@ def test_a_merge_priced_inf_by_overflowing_kernels_is_skipped_by_both_engines():
     assert trace.skipped == ((0, Merge(1, 2)), (1, Merge(1, 2)))
 
 
+def test_a_merge_whose_overlap_overflows_is_skipped_by_both_williams_engines():
+    """Merge(1, 2) moment-matches, but its self-overlap sums two covariances past the largest double."""
+    m = GaussianMixture.from_arrays(
+        [0.3, 0.3, 0.4], [[0.0], [np.sqrt(0.5e308)], [0.0]], [[[0.8e308]], [[0.8e308]], [[1.0]]]
+    )
+    fast, fast_trace = reduce(m, 1, CostKind.WILLIAMS_ISE)
+    slow, slow_trace = reference_reduce(m, 1, CostKind.WILLIAMS_ISE)
+    assert [s.chosen for s in fast_trace.steps] == [s.chosen for s in slow_trace.steps] == [Prune(1), Prune(1)]
+    assert fast_trace.skipped == slow_trace.skipped == ((0, Merge(1, 2)),)
+    assert _mixtures_equal(fast, slow)
+    # The first step bills the 6 Gram entries and n + 1 = 4 overlaps for each of the two priced merges.
+    assert fast_trace.per_step_eval_counts[0] == 6 + 4 * 2
+
+
 def test_eval_counts_are_consistent():
     rng = np.random.default_rng(75)
     m = random_mixture(rng, 6, 2)
