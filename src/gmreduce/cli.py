@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -50,6 +51,7 @@ from .constants import CLI_SYMMETRY_ATOL, CLI_WEIGHT_SUM_ATOL, WEIGHT_SUM_ATOL
 from .costs import (
     CostKind,
     DisjointSupportError,
+    DivergenceEstimate,
     arkl_merge_cost,
     arkl_prune_cost,
     crude_prune_bound,
@@ -134,13 +136,9 @@ def mixture_from_doc(doc) -> GaussianMixture:
 
 
 def mixture_to_doc(m: GaussianMixture) -> dict:
-    return {
-        "dim": m.dim,
-        "components": [
-            {"weight": c.weight, "mean": c.mean.tolist(), "cov": c.cov.tolist()}
-            for c in m.components
-        ],
-    }
+    arr = m._arr
+    rows = zip(arr.weights.tolist(), arr.means.tolist(), arr.covs.tolist())
+    return {"dim": m.dim, "components": [{"weight": w, "mean": mean, "cov": cov} for w, mean, cov in rows]}
 
 
 def _read_json(path: str):
@@ -151,14 +149,18 @@ def _read_json(path: str):
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _write_json(doc, path: str):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def load_mixture(path: str) -> GaussianMixture:
     return mixture_from_doc(_read_json(path))
 
 
 def save_mixture(m: GaussianMixture, path: str):
-    with open(path, "w") as fh:
-        json.dump(mixture_to_doc(m), fh, indent=2)
-        fh.write("\n")
+    _write_json(mixture_to_doc(m), path)
 
 
 def _step_to_doc(step) -> dict:
@@ -179,9 +181,7 @@ def save_trace(trace: ReductionTrace, final_mixture: GaussianMixture, path: str)
         "steps": [_step_to_doc(s) for s in trace.steps],
         "final_mixture": mixture_to_doc(final_mixture),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_trace(path: str) -> tuple[CostKind, list[Hypothesis], GaussianMixture]:
@@ -273,13 +273,12 @@ def _write_points_csv(path: str, dataset: LabeledDataset):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_seed(seed: int | None) -> tuple[int, bool]:
-    """Return (seed, generated).  A fresh seed is announced on stderr."""
-    if seed is not None:
-        return seed, False
-    fresh = int(np.random.SeedSequence().entropy % (2**32))
-    print(f"seed: {fresh} (generated)", file=sys.stderr)
-    return fresh, True
+def _resolve_seed(seed: int | None) -> int:
+    """``seed``, or a fresh one, announced on stderr, when it is None."""
+    if seed is None:
+        seed = int(np.random.SeedSequence().entropy % (2**32))
+        print(f"seed: {seed} (generated)", file=sys.stderr)
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +309,17 @@ def _cmd_divergence(args) -> int:
     needs_mc = any(s in ("fkld", "rkld") for s in measures)
     result: dict = {}
     if needs_mc:
-        seed, _ = _resolve_seed(args.seed)
+        seed = _resolve_seed(args.seed)
         result["seed"] = seed
         streams = np.random.SeedSequence(seed).spawn(2)
     for measure in measures:
         if measure == "ise":
-            result["ise"] = {"value": ise_analytic(p, q), "std_error": 0.0, "samples": 0}
+            est = DivergenceEstimate(ise_analytic(p, q), 0.0, 0)
         elif measure == "fkld":
             est = mc_kld(p, q, args.mc_samples, streams[0])
-            result["fkld"] = {"value": est.value, "std_error": est.std_error, "samples": est.samples}
         else:
             est = mc_kld(q, p, args.mc_samples, streams[1])
-            result["rkld"] = {"value": est.value, "std_error": est.std_error, "samples": est.samples}
+        result[measure] = dataclasses.asdict(est)
     json.dump(result, sys.stdout, indent=2)
     print()
     return 0
@@ -345,19 +343,15 @@ def _cmd_sweep(args) -> int:
         m = GaussianMixture((c1, c2))
         exact_prune, ok_p = kld_quad(mix.apply(m, Prune(2)), m)
         exact_merge, ok_m = kld_quad(mix.apply(m, Merge(1, 2)), m)
-        if not ok_p:
-            exact_prune = float("nan")
-        if not ok_m:
-            exact_merge = float("nan")
         if not (ok_p and ok_m):
             flagged += 1
         rows.append(
             (
                 float(mu),
-                exact_prune,
+                exact_prune if ok_p else float("nan"),
                 crude_prune_bound(w2),
                 arkl_prune_cost(m, 2),
-                exact_merge,
+                exact_merge if ok_m else float("nan"),
                 simple_merge_bound(c1, c2),
                 arkl_merge_cost(c1, c2),
             )
@@ -389,8 +383,13 @@ def _parse_gen_spec(spec: str) -> dict:
     return out
 
 
+def _share(hits: np.ndarray, of: np.ndarray) -> float | None:
+    """The fraction of the points in mask ``of`` that are in mask ``hits``; None if ``of`` is empty."""
+    return float(np.sum(hits) / np.sum(of)) if np.any(of) else None
+
+
 def _cmd_cluster(args) -> int:
-    seed, _ = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed)
     data_stream, em_stream = np.random.SeedSequence(seed).spawn(2)
     gen_spec = None
     if args.gen is not None:
@@ -427,21 +426,11 @@ def _cmd_cluster(args) -> int:
         summary["gen"] = {k: v for k, v in gen_spec.items() if v is not None}
     if dataset.truth is not None:
         spurious = dataset.truth == SPURIOUS
-        inlier = ~spurious
-        n_disc = int(np.sum(discarded))
         summary["spurious_points"] = int(np.sum(spurious))
-        summary["spurious_discard_recall"] = (
-            float(np.sum(discarded & spurious) / np.sum(spurious)) if np.any(spurious) else None
-        )
-        summary["spurious_discard_precision"] = (
-            float(np.sum(discarded & spurious) / n_disc) if n_disc else None
-        )
-        summary["inlier_discard_rate"] = (
-            float(np.sum(discarded & inlier) / np.sum(inlier)) if np.any(inlier) else None
-        )
-    with open(f"{prefix}_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        summary["spurious_discard_recall"] = _share(discarded & spurious, spurious)
+        summary["spurious_discard_precision"] = _share(discarded & spurious, discarded)
+        summary["inlier_discard_rate"] = _share(discarded & ~spurious, ~spurious)
+    _write_json(summary, f"{prefix}_summary.json")
     print(
         f"clustered {summary['n_points']} points: {args.over} -> {reduced.size} components, "
         f"{summary['discarded']} points discarded ({kind.value})"

@@ -108,17 +108,12 @@ def generate_corrupted_data(n: int, m: int, side: float = 20.0, seed=None) -> La
     origin-centered square of the given side (truth = SPURIOUS).
     Deterministic given ``seed``; labels are left unassigned.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
+    if not (mix._is_integer(n) and mix._is_integer(m) and n >= 0 and m >= 0):
+        raise ValueError(f"n and m must be nonnegative integers, got {n!r} and {m!r}")
     if not 0.0 < side < np.inf:
         raise ValueError(f"side must be positive and finite, got {side}")
     rng = np.random.default_rng(seed)
-    mixture = six_cluster_mixture()
-    if n > 0:
-        pts, comp = mix.sample(mixture, n, rng, return_components=True)
-    else:
-        pts = np.empty((0, 2))
-        comp = np.empty(0, dtype=int)
+    pts, comp = mix.sample(six_cluster_mixture(), n, rng, return_components=True)
     clutter = rng.uniform(-side / 2.0, side / 2.0, size=(m, 2))
     points = np.vstack([pts, clutter])
     truth = np.concatenate([comp, np.full(m, SPURIOUS, dtype=int)])
@@ -337,12 +332,12 @@ def reduce_and_reassign(
     for step in trace.steps:
         h = step.chosen
         arr = _apply(arr, h)
+        gone = labels == h.j
+        labels = np.where(labels > h.j, labels - 1, labels)
         if isinstance(h, Prune):
-            labels = np.where(labels == h.j, DISCARDED, labels)
-            labels = np.where(labels > h.j, labels - 1, labels)
+            labels[gone] = DISCARDED
         else:
-            moved = (labels == h.i) | (labels == h.j)
-            labels = np.where(labels > h.j, labels - 1, labels)
+            moved = gone | (labels == h.i)
             if np.any(moved):
                 labels[moved] = np.argmax(_component_log_pdf(arr, points[moved]), axis=0) + 1
     return reduced, LabeledDataset(points, labels=labels), trace

@@ -379,8 +379,7 @@ def arkl_prune_cost(m: GaussianMixture, i: int) -> float:
     The minimum is taken over the components actually present, so it
     must be re-evaluated after every reduction step.
     """
-    if not 1 <= i <= m.size:
-        raise ValueError(f"index {i} out of range for mixture of size {m.size} (1-based)")
+    mix._check_hypothesis(m.size, Prune(i))
     if m.size < 2:
         raise ValueError("prune cost requires at least two components")
     i0, arr = i - 1, m._arr
@@ -526,7 +525,7 @@ def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind) -> float:
     and the statistics are computed from ``m`` on the fly.  Pruning is
     not part of the Runnalls hypothesis set, so it has no cost there.
     """
-    mix._check_hypothesis(m, h)
+    mix._check_hypothesis(m.size, h)
     if kind is CostKind.WILLIAMS_ISE:
         return ise_analytic(m, mix.apply(m, h))
     if isinstance(h, Prune):

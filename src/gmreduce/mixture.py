@@ -3,9 +3,9 @@
 A mixture wraps one read-only stack of components, which the functions
 here read directly.  A reduction step either removes one component and
 renormalizes the survivors, or replaces a pair by its moment-matched
-merge, defined once by :func:`_apply` on a stack, for both the public
-:func:`apply` and the reduction engine.  Indices in :class:`Prune` and
-:class:`Merge` are 1-based integers everywhere in the public API,
+merge, defined and checked once by :func:`_apply` on a stack, for both
+the public :func:`apply` and the reduction engine.  Indices in
+:class:`Prune` and :class:`Merge` are 1-based integers everywhere in the public API,
 matching the trace and CLI formats; only the array storage is 0-based.
 """
 
@@ -140,14 +140,14 @@ def _require_normalized(m: GaussianMixture):
         raise ValueError(f"mixture weights sum to {float(m.weights.sum()):.12g}, expected 1 within {WEIGHT_SUM_ATOL}")
 
 
-def _check_hypothesis(m: GaussianMixture, h) -> None:
-    """``h`` is a prune or a merge, and its 1-based indices lie in range for ``m``."""
+def _check_hypothesis(n: int, h) -> None:
+    """``h`` is a prune or a merge, and its 1-based indices lie in range for a mixture of ``n`` components."""
     if not isinstance(h, (Prune, Merge)):
         raise ValueError(f"unknown hypothesis type: {h!r}")
     for idx in vars(h).values():
-        if not 1 <= idx <= m.size:
+        if not 1 <= idx <= n:
             name = type(h).__name__.lower()
-            raise ValueError(f"{name} index {idx} out of range for mixture of size {m.size} (indices are 1-based)")
+            raise ValueError(f"{name} index {idx} out of range for mixture of size {n} (indices are 1-based)")
 
 
 def log_pdf(m: GaussianMixture, x) -> float | np.ndarray:
@@ -182,15 +182,9 @@ def apply(m: GaussianMixture, h: Hypothesis) -> GaussianMixture:
     division by one minus the pruned weight).  Merging replaces the pair
     by its moment-matched single Gaussian, placed at the smaller of the
     two positions; the result is renormalized as well so repeated
-    applications cannot drift.  The step itself is :func:`_apply`.
+    applications cannot drift.  The step and its checks are :func:`_apply`.
     """
     _require_normalized(m)
-    _check_hypothesis(m, h)
-    if isinstance(h, Prune):
-        if m.size == 1:
-            raise ValueError("cannot prune the only component")
-        if 1.0 - m._arr.weights[h.j - 1] <= 0.0:
-            raise ValueError(f"cannot prune component {h.j}: it carries all of the mass")
     return GaussianMixture._of(_apply(m._arr, h))
 
 
@@ -199,11 +193,16 @@ def _apply(arr: ComponentArrays, h: Hypothesis) -> ComponentArrays:
 
     A merge writes the moment match of rows i and j into row i; both
     kinds then drop row j and renormalize the weights by their sum.  The
-    input is not modified.  ``LinAlgError`` for a merge that the cost
-    kernels price as degenerate.
+    input is not modified.  ``ValueError`` for a bad hypothesis or index,
+    or a prune of the only component or of all the mass; ``LinAlgError``
+    for a merge that the cost kernels price as degenerate.
     """
-    if not isinstance(h, (Prune, Merge)):
-        raise ValueError(f"unknown hypothesis type: {h!r}")
+    _check_hypothesis(len(arr), h)
+    if isinstance(h, Prune):
+        if len(arr) == 1:
+            raise ValueError("cannot prune the only component")
+        if 1.0 - arr.weights[h.j - 1] <= 0.0:
+            raise ValueError(f"cannot prune component {h.j}: it carries all of the mass")
     out = arr.take(np.arange(len(arr)) != h.j - 1)
     if isinstance(h, Merge):
         merged, ok = _moment_match(arr.take([h.i - 1]), arr.take([h.j - 1]))

@@ -21,17 +21,14 @@ __all__ = ["envelope_1d", "kld_quad"]
 
 
 def envelope_1d(*mixtures: GaussianMixture) -> tuple[float, float]:
-    """Interval covering all components of the given 1-D mixtures."""
-    lo = math.inf
-    hi = -math.inf
-    for m in mixtures:
-        if m.dim != 1:
-            raise ValueError("envelope is defined for 1-D mixtures only")
-        for c in m.components:
-            sd = math.sqrt(float(c.cov[0, 0]))
-            lo = min(lo, float(c.mean[0]) - QUAD_SIGMA_ENVELOPE * sd)
-            hi = max(hi, float(c.mean[0]) + QUAD_SIGMA_ENVELOPE * sd)
-    return lo, hi
+    """Interval covering all components of the given 1-D mixtures (at least one)."""
+    if not mixtures:
+        raise ValueError("envelope needs at least one mixture")
+    if any(m.dim != 1 for m in mixtures):
+        raise ValueError("envelope is defined for 1-D mixtures only")
+    means = np.concatenate([m._arr.means[:, 0] for m in mixtures])
+    reach = QUAD_SIGMA_ENVELOPE * np.sqrt(np.concatenate([m._arr.covs[:, 0, 0] for m in mixtures]))
+    return float(np.min(means - reach)), float(np.max(means + reach))
 
 
 def kld_quad(p: GaussianMixture, q: GaussianMixture) -> tuple[float, bool]:
@@ -42,8 +39,6 @@ def kld_quad(p: GaussianMixture, q: GaussianMixture) -> tuple[float, bool]:
     above the requested absolute tolerance.  A False flag does not raise
     -- the caller decides how to surface it.
     """
-    if p.dim != 1 or q.dim != 1:
-        raise ValueError("quadrature divergences are implemented for 1-D mixtures only")
     lo, hi = envelope_1d(p, q)
 
     def integrand(x: float) -> float:
@@ -58,7 +53,7 @@ def kld_quad(p: GaussianMixture, q: GaussianMixture) -> tuple[float, bool]:
     # size of importing the package, and only this oracle needs it.
     from scipy import integrate
 
-    breaks = sorted(float(c.mean[0]) for c in p.components + q.components)
+    breaks = np.sort(np.concatenate([p._arr.means[:, 0], q._arr.means[:, 0]]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", integrate.IntegrationWarning)
         value, abserr = integrate.quad(

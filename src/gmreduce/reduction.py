@@ -251,14 +251,16 @@ def _delete_rc(table: CostTable, idx: int) -> None:
 def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounter | None = None) -> None:
     """Advance a cost table in place across one applied hypothesis.
 
-    Row and column j of every cached matrix are deleted, the table's
-    components move one step through :func:`mixture._apply`, and a merge
+    The table's components move one step through :func:`mixture._apply`,
+    row and column j of every cached matrix are deleted, and a merge
     refills the pairs of the merged component i (:func:`_fill` with only
     i fresh).  Every other kernel, pairwise divergence and Gram entry is
-    carried over, and every price is recomputed.
+    carried over, and every price is recomputed.  A hypothesis that
+    :func:`mixture._apply` rejects raises before the table changes.
     """
+    arr = mix._apply(table.arr, applied)
     _delete_rc(table, applied.j - 1)
-    table.arr = mix._apply(table.arr, applied)
+    table.arr = arr
     # A prune adds no component, and `arkl` kernels cannot take an empty batch.
     if isinstance(applied, Merge):
         _fill(table, np.arange(table.size) == applied.i - 1, counter)

@@ -101,6 +101,24 @@ def test_reduce_command_noop_target(tmp_path):
     assert mixture_to_doc(final) == mixture_to_doc(load_mixture(inp))
 
 
+def test_reduce_trace_flags_a_negative_cost_step(tmp_path):
+    doc = {
+        "dim": 1,
+        "components": [
+            {"weight": 0.4, "mean": [0.0], "cov": [[1.0]]},
+            {"weight": 0.4, "mean": [0.01], "cov": [[1.0]]},
+            {"weight": 0.2, "mean": [50.0], "cov": [[1.0]]},
+        ],
+    }
+    inp = _write_doc(tmp_path / "in.json", doc)
+    trace = tmp_path / "trace.json"
+    assert main(["reduce", "--in", inp, "--method", "arkl", "--target", "2", "--trace", str(trace)]) == 0
+    (step,) = json.loads(trace.read_text())["steps"]
+    assert step["action"] == "merge" and step["indices"] == [1, 2]
+    assert step["cost"] < 0.0
+    assert step["flags"] == ["negative_cost"]
+
+
 def test_trace_replays_to_final_mixture_exactly(tmp_path):
     rng = np.random.default_rng(91)
     m = random_mixture(rng, 5, 2)
@@ -124,6 +142,8 @@ def test_malformed_trace_documents_raise_value_error(tmp_path):
         ([{"method": "arkl", "steps": [], "final_mixture": final}], "not a valid trace file"),
         ({"method": "arkl", "steps": 5, "final_mixture": final}, "not a valid trace file"),
         ({"method": "arkl", "steps": [1], "final_mixture": final}, "step 1 is malformed"),
+        ({"method": "arkl", "steps": [{"action": "split", "indices": [1]}], "final_mixture": final},
+         "step 1 is malformed: action must be prune or merge"),
         ({"method": "arkl", "steps": [{"action": "merge", "indices": 5}], "final_mixture": final}, "step 1 is malformed"),
         ({"method": "arkl", "steps": [{"action": "merge", "indices": [None, 2]}], "final_mixture": final}, "step 1 is malformed"),
         ({"method": "arkl", "steps": [], "final_mixture": dict(final, dim=None)}, "dim must be an integer"),
@@ -370,6 +390,8 @@ def test_bad_mixture_documents_exit_2(tmp_path, capsys):
         dict(_two_component_doc(), dim=True),
         dict(_two_component_doc(), dim="1"),
         {"dim": 2.7, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}]},
+        {"dim": 1, "components": [{"weight": 0.5, "mean": [0.0], "cov": [[1.0]]},
+                                  {"weight": 0.6, "mean": [1.0], "cov": [[1.0]]}]},
     ]
     # Only JSON numbers are numbers: no bool, string or null is coerced.
     for field, value in [
@@ -384,6 +406,7 @@ def test_bad_mixture_documents_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "component 1 is malformed: weight must be a number, got True" in err
     assert "component 1 is malformed: cov must be a number, got '1.0'" in err
+    assert "weights sum to 1.1; must be within" in err
 
 
 def test_weight_sum_drift_renormalized_with_warning(tmp_path, capsys):
@@ -470,7 +493,10 @@ def test_bad_points_csv_exit_2(tmp_path, capsys):
     headeronly = tmp_path / "headeronly.csv"
     headeronly.write_text("x1,x2\n")
     assert main(base + ["--data", str(headeronly)]) == 2
-    capsys.readouterr()
+    extra = tmp_path / "extra.csv"
+    extra.write_text("x1,x2,colour\n1.0,2.0,red\n")
+    assert main(base + ["--data", str(extra)]) == 2
+    assert "unexpected columns ['colour'] after coordinates" in capsys.readouterr().err
 
 
 def test_points_csv_non_numeric_or_non_finite_names_file_and_line(tmp_path, capsys):

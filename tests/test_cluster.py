@@ -67,10 +67,11 @@ def test_generate_corrupted_data_deterministic():
 
 
 def test_generate_corrupted_data_validation():
-    with pytest.raises(ValueError):
-        generate_corrupted_data(-1, 5)
-    with pytest.raises(ValueError):
-        generate_corrupted_data(5, -1)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            generate_corrupted_data(bad, 5)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            generate_corrupted_data(5, bad)
     with pytest.raises(ValueError):
         generate_corrupted_data(5, 5, side=0.0)
     for side in (np.nan, np.inf):

@@ -1,6 +1,7 @@
 """Cost surrogates, bounds and divergence estimators against oracles."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from gmreduce import (
     runnalls_bound,
     simple_merge_bound,
     switched_divergence,
+    update_cost_table,
 )
 from gmreduce import costs, gauss
 from gmreduce.costs import (
@@ -64,6 +66,8 @@ def test_runnalls_bound_scales_with_weights():
     a, b = _pair()
     half = runnalls_bound(a.with_weight(0.25), b.with_weight(0.25))
     assert abs(half - 0.5 * runnalls_bound(a, b)) < 1e-12
+    with pytest.raises(ValueError, match="zero total weight"):
+        runnalls_bound(a.with_weight(0.0), b.with_weight(0.0))
 
 
 def test_simple_merge_bound_worked_value():
@@ -94,6 +98,8 @@ def test_gaussian_overlap_of_an_overflowing_covariance_sum_raises():
     c = GaussianComponent(1.0, [0.0], [[1e308]])
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         gaussian_overlap(c, c)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        product_decompose(c, c)
 
 
 def test_ise_known_single_gaussian_pair():
@@ -206,6 +212,10 @@ def test_arkl_prune_cost_rejects_bad_index_and_single_component():
     m = random_mixture(rng, 4, 2)
     with pytest.raises(ValueError):
         arkl_prune_cost(m, 5)
+    # A bool or a float is not read as an index.
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="integer"):
+            arkl_prune_cost(m, bad)
     single = GaussianMixture((GaussianComponent(1.0, [0.0], [[1.0]]),))
     with pytest.raises(ValueError):
         arkl_prune_cost(single, 1)
@@ -457,11 +467,19 @@ def test_hypothesis_cost_dispatch():
         hypothesis_cost(m, Prune(2), CostKind.RUNNALLS_B)
     with pytest.raises(ValueError):
         hypothesis_cost(m, "prune", CostKind.ARKL_FULL)
-    # Every index is checked, never wrapped around to the end of the mixture.
+    # Every index is checked, never wrapped around to the end of the mixture,
+    # and the cached engine rejects the step before it touches its table.
     for kind in CostKind:
+        table = build_cost_table(m, kind)
+        before = {f.name: getattr(table, f.name) for f in fields(table)}
+        copies = {name: v.copy() for name, v in before.items() if isinstance(v, np.ndarray)}
         for h in (Prune(0), Prune(m.size + 1), Merge(0, 2)):
             with pytest.raises(ValueError, match="out of range"):
                 hypothesis_cost(m, h, kind)
+            with pytest.raises(ValueError, match="out of range"):
+                update_cost_table(table, h)
+            assert all(getattr(table, name) is v for name, v in before.items())
+            assert all(np.array_equal(getattr(table, name), v) for name, v in copies.items())
 
 
 def test_williams_cost_equals_direct_ise():

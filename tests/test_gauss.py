@@ -102,6 +102,8 @@ def test_log_pdf_rejects_wrong_dimension():
     c = GaussianComponent(1.0, [0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
         log_pdf(c, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kld_gauss(GaussianComponent(1.0, [0.0], [[1.0]]), c)
 
 
 def test_mahalanobis_matches_direct_solve():

@@ -110,6 +110,10 @@ def test_from_arrays():
     assert m.components[1].cov[0, 0] == 2.0
     with pytest.raises(ValueError):
         GaussianMixture.from_arrays([0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    with pytest.raises(ValueError, match="1-D vector"):
+        GaussianMixture.from_arrays([[0.3, 0.7]], [[0.0], [1.0]], [[[1.0]], [[2.0]]])
+    with pytest.raises(ValueError, match="must be positive"):
+        GaussianMixture.from_arrays([0.0, 1.0], [[0.0], [1.0]], [[[1.0]], [[2.0]]])
 
 
 def _stack_bits(components):

@@ -55,6 +55,8 @@ def test_envelope_covers_all_components():
     lo_single, hi_single = envelope_1d(m2)
     assert lo_single == 20.0 - 12.0
     assert hi_single == 20.0 + 12.0
+    with pytest.raises(ValueError, match="at least one mixture"):
+        envelope_1d()
 
 
 def test_quadrature_rejects_multivariate_input():
