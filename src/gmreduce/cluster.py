@@ -25,7 +25,7 @@ import numpy as np
 
 from . import mixture as mix
 from .costs import CostKind
-from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _log_sum_exp
+from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _log_sum_exp, _points
 from .mixture import GaussianMixture, Merge, Prune, _apply, _component_log_pdf
 from .reduction import ReductionTrace, reduce
 
@@ -319,7 +319,7 @@ def reduce_and_reassign(
     density in the mixture after that step.  Returns (reduced mixture,
     labeled points, trace).
     """
-    points = np.asarray(points, dtype=float)
+    points = _points(points, mixture.dim)
     responsibilities = np.asarray(responsibilities, dtype=float)
     if responsibilities.shape != (points.shape[0], mixture.size):
         raise ValueError(

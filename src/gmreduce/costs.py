@@ -164,9 +164,7 @@ def ise_analytic(p: GaussianMixture, q: GaussianMixture) -> float:
     term of ``q``, and the cross term.  The result is a true squared
     L2 distance, zero iff the mixtures represent the same density.
     """
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    pa, qa = p._arr, q._arr
+    pa, qa = _pair_arrays(p, q)
     wp, wq = pa.weights, qa.weights
     gpp = _overlap_matrix(pa, pa)
     gqq = _overlap_matrix(qa, qa)
@@ -185,6 +183,7 @@ def mc_kld(from_: GaussianMixture, to: GaussianMixture, n: int, seed) -> Diverge
     """
     if not mix._is_integer(n) or n < 1000:
         raise ValueError(f"n must be an integer of at least 1000 for a usable error estimate, got {n!r}")
+    _pair_arrays(from_, to)  # checks the dimensions
     pts = mix.sample(from_, n, seed)
     lf = mix.log_pdf(from_, pts)
     lt = mix.log_pdf(to, pts)
@@ -377,11 +376,10 @@ def arkl_prune_cost(m: GaussianMixture, i: int) -> float:
         -log(1 - w_i) - (w_j / (1 - w_i)) log(1 + (w_i / w_j) exp(-D(q_j || q_i)))
 
     The minimum is taken over the components actually present, so it
-    must be re-evaluated after every reduction step.
+    must be re-evaluated after every reduction step.  ``Prune(i)`` is
+    checked as :func:`~gmreduce.mixture.apply` checks it, with its messages.
     """
-    mix._check_hypothesis(m.size, Prune(i))
-    if m.size < 2:
-        raise ValueError("prune cost requires at least two components")
+    mix._check_hypothesis(m._arr, Prune(i))
     i0, arr = i - 1, m._arr
     others = np.flatnonzero(np.arange(m.size) != i0)
     col = np.zeros((m.size, 1))
@@ -521,11 +519,12 @@ def _williams_merge_costs(
 def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind) -> float:
     """Cost assigned to a single hypothesis under the given method.
 
-    Indices are checked as :func:`~gmreduce.mixture.apply` checks them,
-    and the statistics are computed from ``m`` on the fly.  Pruning is
-    not part of the Runnalls hypothesis set, so it has no cost there.
+    ``h`` is checked as :func:`~gmreduce.mixture.apply` checks it, with
+    its messages under every method, and the statistics are computed
+    from ``m`` on the fly.  Pruning is not part of the Runnalls
+    hypothesis set, so it has no cost there.
     """
-    mix._check_hypothesis(m.size, h)
+    mix._check_hypothesis(m._arr, h)
     if kind is CostKind.WILLIAMS_ISE:
         return ise_analytic(m, mix.apply(m, h))
     if isinstance(h, Prune):

@@ -402,18 +402,26 @@ class ProductDecomposition:
     cov_star: np.ndarray
 
 
-def _pair_arrays(a: GaussianComponent, b: GaussianComponent) -> tuple[ComponentArrays, ComponentArrays]:
-    """The two components' one-row stacks: the batch of one behind every scalar pair function."""
+def _pair_arrays(a, b) -> tuple[ComponentArrays, ComponentArrays]:
+    """The ``._arr`` stacks of two components or two mixtures, after the one check that their ``.dim`` match."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return a._arr, b._arr
 
 
+def _points(x, k: int) -> np.ndarray:
+    """The one point-shape rule: a (k,) point or an (n, k) batch, as (n, k); any other shape is a ``ValueError``."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != k:
+        raise ValueError(f"points must be (k,) or (n, k) with k = {k}, got shape {pts.shape}")
+    return pts.reshape(-1, k)
+
+
 def log_pdf(c: GaussianComponent, x) -> float | np.ndarray:
     """Log density of ``c`` at ``x``.
 
-    ``x`` may be a single point of shape (k,) or a batch of shape (n, k);
-    the result is a scalar or an array of shape (n,) accordingly.
+    ``x`` is a (k,) point or an (n, k) batch, and the result a scalar or
+    an (n,) array; any other shape, 0-d included, is a ``ValueError``.
     """
     return -0.5 * (c.dim * _LOG_2PI + c.log_det + mahalanobis_sq(c, x))
 
@@ -424,15 +432,10 @@ def pdf(c: GaussianComponent, x) -> float | np.ndarray:
 
 
 def mahalanobis_sq(c: GaussianComponent, x) -> float | np.ndarray:
-    """Squared Mahalanobis distance from ``x`` to the component mean (shapes as :func:`log_pdf`)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != c.dim:
-        raise ValueError(f"point dimension {pts.shape[1]} does not match component dimension {c.dim}")
-    z = _solve_lower(c._arr.chols, np.ascontiguousarray((pts - c.mean).T)[None])[0]
+    """Squared Mahalanobis distance from ``x`` to the component mean (shapes as :func:`log_pdf`, 0-d refused)."""
+    z = _solve_lower(c._arr.chols, np.ascontiguousarray((_points(x, c.dim) - c.mean).T)[None])[0]
     quad = np.sum(z * z, axis=0)
-    return float(quad[0]) if single else quad
+    return float(quad[0]) if np.ndim(x) == 1 else quad
 
 
 def kld_gauss(from_: GaussianComponent, to: GaussianComponent) -> float:

@@ -3,10 +3,11 @@
 A mixture wraps one read-only stack of components, which the functions
 here read directly.  A reduction step either removes one component and
 renormalizes the survivors, or replaces a pair by its moment-matched
-merge, defined and checked once by :func:`_apply` on a stack, for both
-the public :func:`apply` and the reduction engine.  Indices in
-:class:`Prune` and :class:`Merge` are 1-based integers everywhere in the public API,
-matching the trace and CLI formats; only the array storage is 0-based.
+merge, defined once by :func:`_apply` on a stack and checked once by
+:func:`_check_hypothesis`, for :func:`apply`, both engines and the scalar
+costs.  Indices in :class:`Prune` and :class:`Merge` are 1-based integers
+everywhere in the public API, matching the trace and CLI formats; only
+the array storage is 0-based.  Each input rule is checked in one place.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Union
 import numpy as np
 
 from .constants import WEIGHT_SUM_ATOL
-from .gauss import ComponentArrays, GaussianComponent, _centered_log_pdfs, _frozen, _log_sum_exp, _moment_match, _stack
+from .gauss import ComponentArrays, GaussianComponent, _centered_log_pdfs, _frozen, _log_sum_exp, _moment_match
+from .gauss import _points, _stack
 from .gauss import moment_match_merge  # noqa: F401 -- kept importable here for call tracers
 
 __all__ = [
@@ -80,21 +82,18 @@ class GaussianMixture:
         comps = tuple(components)
         if not comps:
             raise ValueError("mixture must contain at least one component")
-        dim = comps[0].dim
         for idx, c in enumerate(comps):
             if not isinstance(c, GaussianComponent):
                 raise ValueError(f"component {idx + 1} is not a GaussianComponent")
-            if c.dim != dim:
-                raise ValueError(f"component {idx + 1} has dimension {c.dim}, expected {dim}")
-            if c.weight <= 0.0:
-                raise ValueError(f"component {idx + 1} has non-positive weight {c.weight}")
-        object.__setattr__(self, "_arr", _frozen(ComponentArrays.of(comps)))
+            if c.dim != comps[0].dim:
+                raise ValueError(f"component {idx + 1} has dimension {c.dim}, expected {comps[0].dim}")
+        object.__setattr__(self, "_arr", self._of(ComponentArrays.of(comps))._arr)
 
     @classmethod
     def _of(cls, arr: ComponentArrays) -> "GaussianMixture":
-        """Wrap a validated and factorized stack, marked read-only, without factorizing it again."""
-        if np.any(arr.weights <= 0.0):
-            raise ValueError(f"weights must be positive, got {arr.weights.min()}")
+        """Wrap a validated and factorized stack, marked read-only: the one check that the weights are positive."""
+        if arr.weights.min() <= 0.0:
+            raise ValueError(f"component {arr.weights.argmin() + 1} weight must be positive, got {arr.weights.min()}")
         m = object.__new__(cls)
         object.__setattr__(m, "_arr", _frozen(arr))
         return m
@@ -140,14 +139,18 @@ def _require_normalized(m: GaussianMixture):
         raise ValueError(f"mixture weights sum to {float(m.weights.sum()):.12g}, expected 1 within {WEIGHT_SUM_ATOL}")
 
 
-def _check_hypothesis(n: int, h) -> None:
-    """``h`` is a prune or a merge, and its 1-based indices lie in range for a mixture of ``n`` components."""
+def _check_hypothesis(arr: ComponentArrays, h) -> None:
+    """The one check of a step on ``arr``: prune or merge, 1-based indices in range, and mass left after a prune."""
     if not isinstance(h, (Prune, Merge)):
         raise ValueError(f"unknown hypothesis type: {h!r}")
     for idx in vars(h).values():
-        if not 1 <= idx <= n:
+        if not 1 <= idx <= len(arr):
             name = type(h).__name__.lower()
-            raise ValueError(f"{name} index {idx} out of range for mixture of size {n} (indices are 1-based)")
+            raise ValueError(f"{name} index {idx} out of range for mixture of size {len(arr)} (indices are 1-based)")
+    if isinstance(h, Prune) and len(arr) == 1:
+        raise ValueError("cannot prune the only component")
+    if isinstance(h, Prune) and 1.0 - arr.weights[h.j - 1] <= 0.0:
+        raise ValueError(f"cannot prune component {h.j}: it carries all of the mass")
 
 
 def log_pdf(m: GaussianMixture, x) -> float | np.ndarray:
@@ -157,15 +160,13 @@ def log_pdf(m: GaussianMixture, x) -> float | np.ndarray:
     component never overflows the sum and remote evaluation points do
     not underflow to -inf unless every component underflows.
     """
-    x = np.asarray(x, dtype=float)
-    out = _log_sum_exp(_component_log_pdf(m._arr, x[None] if x.ndim == 1 else x))[0]
-    return float(out[0]) if x.ndim == 1 else out
+    out = _log_sum_exp(_component_log_pdf(m._arr, x))[0]
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
-def _component_log_pdf(arr: ComponentArrays, pts: np.ndarray) -> np.ndarray:
-    """The (P, n) log w_p + log q_p(x_i) of a stack at (n, k) points (:func:`gauss._centered_log_pdfs`)."""
-    if pts.ndim != 2 or pts.shape[1] != arr.means.shape[1]:
-        raise ValueError(f"points must be (k,) or (n, k) with k = {arr.means.shape[1]}, got shape {pts.shape}")
+def _component_log_pdf(arr: ComponentArrays, x) -> np.ndarray:
+    """The (P, n) log w_p + log q_p(x_i) of a stack at a (k,) point or (n, k) points (:func:`gauss._points`)."""
+    pts = _points(x, arr.means.shape[1])
     return _centered_log_pdfs(arr, np.ascontiguousarray(pts.T)[None] - arr.means[:, :, None])
 
 
@@ -193,16 +194,11 @@ def _apply(arr: ComponentArrays, h: Hypothesis) -> ComponentArrays:
 
     A merge writes the moment match of rows i and j into row i; both
     kinds then drop row j and renormalize the weights by their sum.  The
-    input is not modified.  ``ValueError`` for a bad hypothesis or index,
-    or a prune of the only component or of all the mass; ``LinAlgError``
-    for a merge that the cost kernels price as degenerate.
+    input is not modified.  ``ValueError`` for a step that
+    :func:`_check_hypothesis` refuses; ``LinAlgError`` for a merge that
+    the cost kernels price as degenerate.
     """
-    _check_hypothesis(len(arr), h)
-    if isinstance(h, Prune):
-        if len(arr) == 1:
-            raise ValueError("cannot prune the only component")
-        if 1.0 - arr.weights[h.j - 1] <= 0.0:
-            raise ValueError(f"cannot prune component {h.j}: it carries all of the mass")
+    _check_hypothesis(arr, h)
     out = arr.take(np.arange(len(arr)) != h.j - 1)
     if isinstance(h, Merge):
         merged, ok = _moment_match(arr.take([h.i - 1]), arr.take([h.j - 1]))

@@ -218,8 +218,8 @@ def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = No
         raise ValueError(f"kind must be a CostKind, got {kind!r}")
     if target is not None and not (mix._is_integer(target) and 1 <= target <= m.size):
         raise ValueError(f"target must be an integer in [1, {m.size}], got {target!r}")
-    if target is not None and not m.is_normalized:
-        raise ValueError("reduction requires a normalized mixture")
+    if target is not None:
+        mix._require_normalized(m)
 
 
 def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | None = None) -> CostTable:

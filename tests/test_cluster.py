@@ -1,5 +1,7 @@
 """Data generation, EM fitting and the reduce-and-reassign workflow."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -514,6 +516,9 @@ def test_reassign_validates_responsibility_shape():
         reduce_and_reassign(m, resp[:, :2], pts, 2, CostKind.ARKL_FULL)
     with pytest.raises(ValueError):
         reduce_and_reassign(m, resp[:3], pts, 2, CostKind.ARKL_FULL)
+    # Points of another dimension are refused even when no merge moves a point.
+    with pytest.raises(ValueError, match=re.escape("shape (4, 2)")):
+        reduce_and_reassign(m, resp, np.hstack([pts, pts]), 2, CostKind.ARKL_FULL)
 
 
 def test_component_log_pdf_used_by_em_matches_mixture():

@@ -174,6 +174,10 @@ def test_mc_kld_validation_and_disjoint_support():
     for bad in (999, 2500.0, np.float64(1e4)):
         with pytest.raises(ValueError, match="integer"):
             mc_kld(p, p, bad, seed=0)
+    plane = GaussianMixture((GaussianComponent(1.0, [0.0, 0.0], np.eye(2)),))
+    for a, b in ((p, plane), (plane, p)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mc_kld(a, b, 1000, seed=0)
     far = GaussianMixture((GaussianComponent(1.0, [1e200], [[1.0]]),))
     with pytest.raises(DisjointSupportError) as info:
         mc_kld(p, far, 1000, seed=0)
@@ -217,8 +221,11 @@ def test_arkl_prune_cost_rejects_bad_index_and_single_component():
         with pytest.raises(ValueError, match="integer"):
             arkl_prune_cost(m, bad)
     single = GaussianMixture((GaussianComponent(1.0, [0.0], [[1.0]]),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot prune the only component"):
         arkl_prune_cost(single, 1)
+    whole = GaussianMixture.from_arrays([1.0, 1e-17], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    with pytest.raises(ValueError, match="all of the mass"):
+        arkl_prune_cost(whole, 1)
 
 
 def test_arkl_prune_upper_bounds_true_divergence():
@@ -467,6 +474,15 @@ def test_hypothesis_cost_dispatch():
         hypothesis_cost(m, Prune(2), CostKind.RUNNALLS_B)
     with pytest.raises(ValueError):
         hypothesis_cost(m, "prune", CostKind.ARKL_FULL)
+    # A prune that leaves no other component to take the mass raises what apply raises.
+    single = GaussianMixture((GaussianComponent(1.0, [0.0], [[1.0]]),))
+    whole = GaussianMixture.from_arrays([1.0, 1e-17], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    for kind in (CostKind.ARKL_FULL, CostKind.ARKL_SIMPLE, CostKind.WILLIAMS_ISE):
+        for mixture, message in ((single, "cannot prune the only component"), (whole, "all of the mass")):
+            with pytest.raises(ValueError, match=message):
+                apply(mixture, Prune(1))
+            with pytest.raises(ValueError, match=message):
+                hypothesis_cost(mixture, Prune(1), kind)
     # Every index is checked, never wrapped around to the end of the mixture,
     # and the cached engine rejects the step before it touches its table.
     for kind in CostKind:

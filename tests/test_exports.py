@@ -26,3 +26,9 @@ def test_every_exported_name_resolves(name):
 
 def test_package_exports_have_no_duplicates():
     assert len(gmreduce.__all__) == len(set(gmreduce.__all__))
+
+
+def test_package_reexports_the_component_densities():
+    # gmreduce.mixture exports densities of the same names for mixtures.
+    assert gmreduce.log_pdf is gmreduce.gauss.log_pdf
+    assert gmreduce.pdf is gmreduce.gauss.pdf

@@ -6,6 +6,7 @@ acceptance bands.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,12 @@ def test_log_pdf_rejects_wrong_dimension():
     c = GaussianComponent(1.0, [0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
         log_pdf(c, [1.0, 2.0, 3.0])
+    # One point-shape rule: a (k,) point or an (n, k) batch, nothing else.
+    for fn in (log_pdf, pdf, mahalanobis_sq):
+        with pytest.raises(ValueError, match=re.escape("shape (3, 2, 2)")):
+            fn(c, np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match=re.escape("shape ()")):
+        log_pdf(GaussianComponent(1.0, [0.0], [[1.0]]), 0.5)
     with pytest.raises(ValueError, match="dimension mismatch"):
         kld_gauss(GaussianComponent(1.0, [0.0], [[1.0]]), c)
 

@@ -82,12 +82,16 @@ def test_mixture_validation():
     c = GaussianComponent(0.5, [0.0], [[1.0]])
     with pytest.raises(ValueError):
         GaussianMixture(())
-    with pytest.raises(ValueError):
+    # Weight positivity is one check with one message, whichever constructor is used.
+    with pytest.raises(ValueError, match="component 2 weight must be positive, got 0.0"):
         GaussianMixture((c, GaussianComponent(0.0, [1.0], [[1.0]])))
+    with pytest.raises(ValueError, match="component 2 weight must be positive, got 0.0"):
+        GaussianMixture.from_arrays([0.5, 0.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
     with pytest.raises(ValueError):
         GaussianMixture((c, GaussianComponent(0.5, [0.0, 0.0], np.eye(2))))
-    with pytest.raises(ValueError):
-        GaussianMixture((c, "not a component"))
+    for bad in ((c, "not a component"), ("not a component",)):
+        with pytest.raises(ValueError, match="is not a GaussianComponent"):
+            GaussianMixture(bad)
 
 
 def test_mixture_properties():
@@ -201,8 +205,10 @@ def test_apply_requires_normalized():
     unnorm = GaussianMixture(
         (GaussianComponent(0.5, [0.0], [[1.0]]), GaussianComponent(0.3, [1.0], [[1.0]]))
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixture weights sum to 0.8"):
         apply(unnorm, Prune(1))
+    with pytest.raises(ValueError, match="mixture weights sum to 0.8"):
+        sample(unnorm, 10, seed=0)
 
 
 def test_apply_rejects_unknown_hypothesis():
