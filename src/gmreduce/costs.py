@@ -3,11 +3,11 @@ reverse-divergence surrogates used by the greedy engine.
 
 Every pair statistic behind a cost comes from one batched layer.  Its
 kernels take two :class:`~gmreduce.gauss.ComponentArrays` stacks aligned
-row by row -- for index lists I, J, ``arr.take(I)`` and ``arr.take(J)``
--- and evaluate all rows in stacked numpy calls: the moment matches,
-the merge kernels of ``runnalls``, ``arkl-simple`` and ``arkl``
-(:func:`_merge_kernels`), divergences (:func:`~gmreduce.gauss._whiten`)
-and Gaussian overlaps (:func:`_overlaps`).  The divergence costs are
+row by row (for index lists I, J, ``arr.take(I)`` and ``arr.take(J)``)
+and evaluate all rows in stacked numpy calls.  :mod:`gmreduce.gauss`
+owns the divergence, overlap and moment-match entry points and their
+errors; the merge kernels of ``runnalls``, ``arkl-simple`` and ``arkl``
+(:func:`_merge_kernels`) are built on them, and the divergence costs are
 batches of one over these kernels in both engines.  Outside the engine
 the squared-error cost is its definition, ``ise_analytic(m, apply(m, h))``,
 which the engine's Gram assembly matches to rounding (checked by the
@@ -49,12 +49,13 @@ from .gauss import (
     GaussianComponent,
     _cholesky,
     _expected_log,
+    _mergeable,
     _moment_match,
     _overlap_solves,
+    _overlaps,
     _pair_arrays,
     _product,
     _solve_lower,
-    _whiten,
     _whitenings,
     expected_log,  # noqa: F401 -- kept importable here for call tracers
     kld_gauss,
@@ -135,26 +136,18 @@ class DisjointSupportError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def _overlaps(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
-    """Overlaps of aligned rows (:func:`~gmreduce.gauss._overlap_solves`); ``LinAlgError`` if a row overflows."""
-    values, _, ok = _overlap_solves(a, b)
-    if not np.all(ok):
-        raise np.linalg.LinAlgError("a covariance sum of an overlap is not positive definite")
-    return values
-
-
 def gaussian_overlap(a: GaussianComponent, b: GaussianComponent) -> float:
     """Integral of the product of two Gaussian densities.
 
     Equals ``N(mean_a; mean_b, cov_a + cov_b)``; weights are ignored.
     """
-    return float(_overlaps(*_pair_arrays(a, b))[0])
+    return float(_overlaps(*_pair_arrays(a, b))[0][0])
 
 
 def _overlap_matrix(a: ComponentArrays, b: ComponentArrays) -> np.ndarray:
     """Overlaps of every row of ``a`` with every row of ``b``, as one stacked call."""
     rows, cols = np.indices((len(a), len(b))).reshape(2, -1)
-    return _overlaps(a.take(rows), b.take(cols)).reshape(len(a), len(b))
+    return _overlaps(a.take(rows), b.take(cols))[0].reshape(len(a), len(b))
 
 
 def ise_analytic(p: GaussianMixture, q: GaussianMixture) -> float:
@@ -247,8 +240,8 @@ def _arkl_exponents(
     result flags pairs whose pooled covariance factorizes and whose
     exponents are finite.
     """
-    d_a, w_a, z_a = _whiten(merged, a)
-    d_b, w_b, z_b = _whiten(merged, b)
+    [(d_a, w_a, z_a)] = _whitenings(a, merged)
+    [(d_b, w_b, z_b)] = _whitenings(b, merged)
     # L at x = m_ab + L_ab y: const + slope^T y + y^T curv y / 2, y ~ N(0, I),
     # so Var L = |slope|^2 + |curv|_F^2 / 2.  A product overflows only where
     # a factor's square, and so a divergence, does; that row is flagged below.
@@ -291,31 +284,23 @@ def _merge_kernels(
         (d_a, _, _), (d_b, _, _) = _whitenings(merged, a, b)
         return d_a, d_b, ok
     if kind is CostKind.ARKL_SIMPLE:
-        return _whiten(merged, a)[0], _whiten(merged, b)[0], ok
+        return _whitenings(a, merged)[0][0], _whitenings(b, merged)[0][0], ok
     if kind is CostKind.ARKL_FULL:
         e_a, e_b, pooled_ok = _arkl_exponents(a, b, merged)
         return e_a, e_b, ok & pooled_ok
     raise ValueError(f"no pair kernel for {kind}")
 
 
-def _pair_cost_from_neg_exponents(w_i, w_j, e_i, e_j):
-    """Assemble w log w - w log(w_i exp(-e_i) + w_j exp(-e_j)) stably, elementwise."""
-    w = w_i + w_j
-    return w * np.log(w) - w * np.logaddexp(np.log(w_i) - e_i, np.log(w_j) - e_j)
-
-
 def _pair_costs(kind: CostKind, w_i, w_j, k_a, k_b):
-    """Merge costs from the pair weights and the cached kernels, elementwise."""
+    """Merge costs from pair weights and cached kernels, elementwise: weighted for ``runnalls``, else pair bounds."""
     if kind is CostKind.RUNNALLS_B:
         return w_i * k_a + w_j * k_b
-    # Both reverse-divergence merge surrogates share the pair-bound shape.
-    return _pair_cost_from_neg_exponents(w_i, w_j, k_a, k_b)
+    w = w_i + w_j
+    return w * np.log(w) - w * np.logaddexp(np.log(w_i) - k_a, np.log(w_j) - k_b)
 
 
 def _merge_cost(kind: CostKind, a: ComponentArrays, b: ComponentArrays) -> float:
     """The merge cost of two one-row stacks: a batch of one through :func:`_merge_kernels` and :func:`_pair_costs`."""
-    if a.weights[0] + b.weights[0] <= 0.0:
-        raise ValueError("cannot merge a pair with zero total weight")
     k_a, k_b, ok = _merge_kernels(kind, a, b)
     if not ok[0]:
         raise np.linalg.LinAlgError("the pair's merge kernels overflow or fail to factorize")
@@ -333,7 +318,7 @@ def runnalls_bound(a: GaussianComponent, b: GaussianComponent) -> float:
     B = w_a D(q_a || q_ab) + w_b D(q_b || q_ab) with q_ab the
     moment-matched merge.  Scales linearly with the absolute weights.
     """
-    return _merge_cost(CostKind.RUNNALLS_B, *_pair_arrays(a, b))
+    return _merge_cost(CostKind.RUNNALLS_B, *_mergeable(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +361,15 @@ def arkl_prune_cost(m: GaussianMixture, i: int) -> float:
         -log(1 - w_i) - (w_j / (1 - w_i)) log(1 + (w_i / w_j) exp(-D(q_j || q_i)))
 
     The minimum is taken over the components actually present, so it
-    must be re-evaluated after every reduction step.  ``Prune(i)`` is
-    checked as :func:`~gmreduce.mixture.apply` checks it, with its messages.
+    must be re-evaluated after every reduction step.  ``m`` and ``Prune(i)``
+    are checked as :func:`~gmreduce.mixture.apply` checks them, with its messages.
     """
+    mix._require_normalized(m)
     mix._check_hypothesis(m._arr, Prune(i))
     i0, arr = i - 1, m._arr
     others = np.flatnonzero(np.arange(m.size) != i0)
     col = np.zeros((m.size, 1))
-    col[others, 0] = _whiten(arr.take(others), arr.take([i0]))[0]
+    col[others, 0] = _whitenings(arr.take([i0]), arr.take(others))[0][0]
     return float(np.min(_arkl_prune_terms(arr.weights, col, np.array([i0]))))
 
 
@@ -400,7 +386,7 @@ def simple_merge_bound(a: GaussianComponent, b: GaussianComponent) -> float:
     growing with the separation and soon exceeds the cost of pruning
     either component outright.
     """
-    return _merge_cost(CostKind.ARKL_SIMPLE, *_pair_arrays(a, b))
+    return _merge_cost(CostKind.ARKL_SIMPLE, *_mergeable(a, b))
 
 
 def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianComponent) -> float:
@@ -451,17 +437,12 @@ def arkl_merge_cost(a: GaussianComponent, b: GaussianComponent) -> float:
     as the squared separation.  When the covariances differ it is an
     approximation with no sign guarantee.
     """
-    return _merge_cost(CostKind.ARKL_FULL, *_pair_arrays(a, b))
+    return _merge_cost(CostKind.ARKL_FULL, *_mergeable(a, b))
 
 
 # ---------------------------------------------------------------------------
 # Gram-based squared-error assembly (shared with the reduction engine)
 # ---------------------------------------------------------------------------
-
-
-def _gram_stats(weights: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
-    s = gram @ weights
-    return s, float(weights @ s)
 
 
 def _prune_ise_from_gram(weights: np.ndarray, gram: np.ndarray, s: np.ndarray, t: float, j0) -> np.ndarray:
@@ -519,14 +500,15 @@ def _williams_merge_costs(
 def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind) -> float:
     """Cost assigned to a single hypothesis under the given method.
 
-    ``h`` is checked as :func:`~gmreduce.mixture.apply` checks it, with
-    its messages under every method, and the statistics are computed
-    from ``m`` on the fly.  Pruning is not part of the Runnalls
+    ``m`` and ``h`` are checked as :func:`~gmreduce.mixture.apply` checks
+    them, with its messages under every method, and the statistics are
+    computed from ``m`` on the fly.  Pruning is not part of the Runnalls
     hypothesis set, so it has no cost there.
     """
-    mix._check_hypothesis(m._arr, h)
+    mix._require_normalized(m)
     if kind is CostKind.WILLIAMS_ISE:
-        return ise_analytic(m, mix.apply(m, h))
+        return ise_analytic(m, GaussianMixture._of(mix._apply(m._arr, h)))
+    mix._check_hypothesis(m._arr, h)
     if isinstance(h, Prune):
         if kind is CostKind.RUNNALLS_B:
             raise ValueError("the merge-only Runnalls method assigns no cost to pruning")

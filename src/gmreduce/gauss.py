@@ -3,7 +3,7 @@
 Everything downstream (mixture handling, reduction costs, clustering) is
 built on the handful of identities implemented here: density evaluation,
 the Kullback-Leibler divergence between two Gaussians, the decomposition
-of a product of two Gaussians into a scale factor times a Gaussian, the
+of the product of two Gaussians into a scale factor times a Gaussian, the
 expectation of one Gaussian's log density under another, the density
 maximum, and the moment-matched merge of a weighted pair.
 
@@ -11,12 +11,13 @@ The pair statistics also come in stacked form.  :class:`ComponentArrays`
 holds many components as arrays, and the private stacked kernels here
 (Cholesky factorization, forward substitution, the divergence with its
 whitened frame, the overlap and the moment match) evaluate every row of
-such a stack in one pass of numpy calls.  :func:`kld_gauss`,
-:func:`product_decompose` and the density functions are batches of one
-over them, and :mod:`gmreduce.costs` builds the cost kernels of the
-reduction engines on them.  :func:`moment_match_merge` is a batch of one
-over :func:`_moment_match`, the one moment match that prices a merge in
-the cost kernels and applies it in :mod:`gmreduce.mixture`.  Components
+such a stack in one pass of numpy calls.  Each statistic has one kernel;
+the overlap and the moment match each have one checked form that raises
+where a row fails (:func:`_overlaps`, :func:`_checked_merge`), and
+:func:`_mergeable` refuses a pair without weight.  :func:`kld_gauss`,
+:func:`product_decompose`, :func:`moment_match_merge` and the density
+functions are batches of one over them, and :mod:`gmreduce.costs` builds
+the cost kernels of the reduction engines on them.  Components
 and mixtures wrap read-only stacks, which :func:`_stack` validates whole,
 so a kernel's output is wrapped without a second check.  The kernels put
 the pair axis last, so each numpy call is one long loop, and their sums
@@ -269,20 +270,14 @@ def _sum_leading(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
 
 
-def _whiten(from_: ComponentArrays, to: ComponentArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D(from_ || to) per row, with from_'s spread and offset in to's whitened frame.
-
-    Returns (D, W, z) with W = L_to^-1 L_from, (k, k, P), and z = L_to^-1
-    (m_from - m_to), (k, P), so that for x = m_from + L_from y the
-    Mahalanobis term of q_to is |z + W y|^2.  D is the closed form of
-    :func:`kld_gauss`, read off the same solve; it overflows to +inf for
-    remote pairs.
-    """
-    return _whitenings(to, from_)[0]
-
-
 def _whitenings(to: ComponentArrays, *froms: ComponentArrays) -> list:
-    """:func:`_whiten` of each stack in ``froms`` against ``to``: one substitution, their [L | m - m_to] as columns."""
+    """The one divergence kernel: (D, W, z) of each stack in ``froms`` against ``to``, by one substitution.
+
+    D = D(from || to) per row, the closed form of :func:`kld_gauss`, is
+    +inf for remote pairs.  W = L_to^-1 L_from, (k, k, P), and z = L_to^-1
+    (m_from - m_to), (k, P), so for x = m_from + L_from y the Mahalanobis
+    term of q_to is |z + W y|^2.  Each stack's [L | m - m_to] are columns.
+    """
     p, k = np.broadcast_shapes(to.means.shape, *(f.means.shape for f in froms))
     rhs = np.empty((k, len(froms), k + 1, p))
     for n, f in enumerate(froms):
@@ -306,6 +301,14 @@ def _overlap_solves(a: ComponentArrays, b: ComponentArrays, *cols) -> tuple[np.n
         sol = _solve_lower(chol, np.concatenate([*cols, (a.means - b.means)[:, :, None]], axis=2))
         z = sol.transpose(1, 2, 0)[:, -1]
         return np.exp(-0.5 * (len(z) * _LOG_2PI + log_det + _sum_leading(z * z))), sol, ok
+
+
+def _overlaps(a: ComponentArrays, b: ComponentArrays, *cols) -> tuple[np.ndarray, np.ndarray]:
+    """The overlaps and solve of :func:`_overlap_solves`, after the one check that every covariance sum factorizes."""
+    values, sol, ok = _overlap_solves(a, b, *cols)
+    if not np.all(ok):
+        raise np.linalg.LinAlgError("a covariance sum S_a + S_b is not positive definite")
+    return values, sol
 
 
 def _centered_log_pdfs(arr: ComponentArrays, centered: np.ndarray, work=None, out=None) -> np.ndarray:
@@ -387,6 +390,14 @@ def _moment_match(a: ComponentArrays, b: ComponentArrays) -> tuple[ComponentArra
     return ComponentArrays(total, mean, cov, chols, log_dets), ok
 
 
+def _checked_merge(a: ComponentArrays, b: ComponentArrays) -> ComponentArrays:
+    """The moment matches of :func:`_moment_match`, after the one check that every row succeeded."""
+    merged, ok = _moment_match(a, b)
+    if not ok.all():
+        raise np.linalg.LinAlgError("moment-matched merge overflows or is not positive definite")
+    return merged
+
+
 @dataclass(frozen=True, eq=False)
 class ProductDecomposition:
     """Product of two Gaussian densities, written as scale * N(mean_star, cov_star).
@@ -407,6 +418,13 @@ def _pair_arrays(a, b) -> tuple[ComponentArrays, ComponentArrays]:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return a._arr, b._arr
+
+
+def _mergeable(a, b) -> tuple[ComponentArrays, ComponentArrays]:
+    """:func:`_pair_arrays` of two components, after the one check that the pair carries weight to merge."""
+    if a.weight + b.weight <= 0.0:
+        raise ValueError("cannot merge a pair with zero total weight")
+    return _pair_arrays(a, b)
 
 
 def _points(x, k: int) -> np.ndarray:
@@ -448,7 +466,7 @@ def kld_gauss(from_: GaussianComponent, to: GaussianComponent) -> float:
 
     Always nonnegative; zero iff the densities coincide.
     """
-    div, _, _ = _whiten(*_pair_arrays(from_, to))
+    [(div, _, _)] = _whitenings(*reversed(_pair_arrays(from_, to)))
     return float(div[0])
 
 
@@ -470,9 +488,7 @@ def product_decompose(a: GaussianComponent, b: GaussianComponent) -> ProductDeco
 
 def _product(a: GaussianComponent, b: GaussianComponent, *cols) -> tuple[ProductDecomposition, np.ndarray]:
     """:func:`product_decompose`, and L^-1 [cols | m_a - m_b] for (1, k, c) stacks ``cols``, from its one factor L."""
-    scale, sol, ok = _overlap_solves(*_pair_arrays(a, b), a._arr.covs, *cols)
-    if not ok[0]:
-        raise np.linalg.LinAlgError("the covariance sum of a product is not positive definite")
+    scale, sol = _overlaps(*_pair_arrays(a, b), a._arr.covs, *cols)
     spread, rest, z = sol[0, :, : a.dim], sol[0, :, a.dim :], sol[0, :, -1]
     cov_star = a.cov - spread.T @ spread
     return ProductDecomposition(float(scale[0]), a.mean - spread.T @ z, 0.5 * (cov_star + cov_star.T)), rest
@@ -516,14 +532,9 @@ def moment_match_merge(a: GaussianComponent, b: GaussianComponent) -> GaussianCo
 
     with wa', wb' the weights normalized over the pair.  Among single
     Gaussians this choice minimizes the forward divergence from the
-    normalized pair.  A batch of one over :func:`_moment_match`, the
-    moment match that prices and applies every merge.
+    normalized pair.  A batch of one over :func:`_checked_merge`, which
+    applies every merge; the cost kernels price merges from the same
+    :func:`_moment_match`.
     """
-    pair = _pair_arrays(a, b)
-    if a.weight + b.weight <= 0.0:
-        raise ValueError("cannot merge a pair with zero total weight")
     _check_weights((a.weight + b.weight,))
-    merged, ok = _moment_match(*pair)
-    if not ok[0]:
-        raise np.linalg.LinAlgError("moment-matched merge overflows or is not positive definite")
-    return GaussianComponent._of(merged)
+    return GaussianComponent._of(_checked_merge(*_mergeable(a, b)))

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .constants import WEIGHT_SUM_ATOL
-from .gauss import ComponentArrays, GaussianComponent, _centered_log_pdfs, _frozen, _log_sum_exp, _moment_match
+from .gauss import ComponentArrays, GaussianComponent, _centered_log_pdfs, _checked_merge, _frozen, _log_sum_exp
 from .gauss import _points, _stack
 from .gauss import moment_match_merge  # noqa: F401 -- kept importable here for call tracers
 
@@ -195,15 +195,14 @@ def _apply(arr: ComponentArrays, h: Hypothesis) -> ComponentArrays:
     A merge writes the moment match of rows i and j into row i; both
     kinds then drop row j and renormalize the weights by their sum.  The
     input is not modified.  ``ValueError`` for a step that
-    :func:`_check_hypothesis` refuses; ``LinAlgError`` for a merge that
-    the cost kernels price as degenerate.
+    :func:`_check_hypothesis` refuses; ``LinAlgError`` for a merge whose
+    moment match fails (:func:`~gmreduce.gauss._checked_merge`), which
+    every cost kernel prices +inf.
     """
     _check_hypothesis(arr, h)
     out = arr.take(np.arange(len(arr)) != h.j - 1)
     if isinstance(h, Merge):
-        merged, ok = _moment_match(arr.take([h.i - 1]), arr.take([h.j - 1]))
-        if not ok[0]:
-            raise np.linalg.LinAlgError("moment-matched merge overflows or is not positive definite")
+        merged = _checked_merge(arr.take([h.i - 1]), arr.take([h.j - 1]))
         for f in fields(out):
             getattr(out, f.name)[h.i - 1] = getattr(merged, f.name)[0]
     return replace(out, weights=out.weights / out.weights.sum())

@@ -7,8 +7,8 @@ broken by canonical hypothesis order: prunes before merges, then
 ascending indices; together with the deterministic cost evaluation this
 makes repeated runs bit-identical.
 
-Every pair statistic comes from the batched kernel layer of
-:mod:`gmreduce.costs`: a step hands it the index lists of all the pairs
+Every pair statistic comes from the batched kernels of :mod:`gmreduce.gauss`
+and :mod:`gmreduce.costs`: a step hands them the index lists of all the pairs
 it needs and gets every value back from one stacked evaluation, never
 from a Python loop over pairs.  The engine's only state is a
 :class:`CostTable`: the current components, stacked in canonical order,
@@ -67,9 +67,7 @@ from .costs import (
     CostKind,
     _arkl_prune_terms,
     _crude_prune,
-    _gram_stats,
     _merge_kernels,
-    _overlaps,
     _pair_costs,
     _prune_ise_from_gram,
     _williams_merge_costs,
@@ -81,7 +79,8 @@ from .costs import (
 )
 from .gauss import (
     ComponentArrays,
-    _whiten,
+    _overlaps,
+    _whitenings,
     moment_match_merge,  # noqa: F401 -- kept importable here for call tracers
 )
 from .mixture import GaussianMixture, Hypothesis, Merge, Prune, enumerate_hypotheses
@@ -132,7 +131,7 @@ _KERNEL_FIELD = {CostKind.RUNNALLS_B: "kld", CostKind.ARKL_SIMPLE: "kld", CostKi
 class CostTable:
     """The whole state of the greedy engine: the current components and their costs.
 
-    ``arr`` holds the current components in canonical order.  Prices,
+    ``arr`` holds the current components, at least two, in canonical order.  Prices,
     recomputed at every step and ``None`` before the first:
     ``pair_cost[i0, j0]`` (0-based, upper triangle, +inf elsewhere and
     where the merge cannot be priced) is the cost of merging that pair,
@@ -172,12 +171,12 @@ def _fill(table: CostTable, fresh: np.ndarray, counter: EvalCounter | None) -> N
     rows, cols = np.nonzero(fresh[:, None] | fresh)
     if table.gram is not None:
         gi, gj = rows[rows <= cols], cols[rows <= cols]
-        table.gram[gi, gj] = table.gram[gj, gi] = _overlaps(arr.take(gi), arr.take(gj))
+        table.gram[gi, gj] = table.gram[gj, gi] = _overlaps(arr.take(gi), arr.take(gj))[0]
         _bill(counter, "overlap", gi.size)
         return
     if table.pairwise_kld is not None:
         a, b = rows[rows != cols], cols[rows != cols]
-        table.pairwise_kld[a, b] = _whiten(arr.take(a), arr.take(b))[0]
+        table.pairwise_kld[a, b] = _whitenings(arr.take(b), arr.take(a))[0][0]
         _bill(counter, "kld", a.size)
     i0, j0 = rows[rows < cols], cols[rows < cols]
     k_a, k_b, ok = _merge_kernels(table.kind, arr.take(i0), arr.take(j0))
@@ -198,7 +197,8 @@ def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
     n, w = len(arr), arr.weights
     if kind is CostKind.WILLIAMS_ISE:
         iu, ju = np.triu_indices(n, k=1)
-        s, t = _gram_stats(w, table.gram)
+        s = table.gram @ w
+        t = float(w @ s)
         table.prune_cost = _prune_ise_from_gram(w, table.gram, s, t, np.arange(n))
         costs, ok = _williams_merge_costs(arr, table.gram, s, t, iu, ju)
         table.pair_cost = np.full((n, n), np.inf)
@@ -222,9 +222,16 @@ def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = No
         mix._require_normalized(m)
 
 
+def _check_table_size(n: int) -> None:
+    """The one size rule of a cost table: at least two components, so that every kernel batch holds a pair."""
+    if n < 2:
+        raise ValueError(f"a cost table needs at least two components, got {n}")
+
+
 def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | None = None) -> CostTable:
-    """Evaluate all hypothesis costs for ``m`` from scratch: a fill with every component fresh."""
+    """Evaluate all hypothesis costs for ``m`` (at least two components) from scratch: a fill with every one fresh."""
     _check_arguments(m, kind)
+    _check_table_size(m.size)
     n = m.size
     table = CostTable(kind, m._arr)
     if kind is CostKind.WILLIAMS_ISE:
@@ -255,13 +262,14 @@ def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounte
     row and column j of every cached matrix are deleted, and a merge
     refills the pairs of the merged component i (:func:`_fill` with only
     i fresh).  Every other kernel, pairwise divergence and Gram entry is
-    carried over, and every price is recomputed.  A hypothesis that
-    :func:`mixture._apply` rejects raises before the table changes.
+    carried over, and every price is recomputed.  A step that leaves one
+    component, or that :func:`mixture._apply` rejects, raises before the table changes.
     """
+    _check_table_size(table.size - 1)
     arr = mix._apply(table.arr, applied)
     _delete_rc(table, applied.j - 1)
     table.arr = arr
-    # A prune adds no component, and `arkl` kernels cannot take an empty batch.
+    # A prune leaves no fresh component: skip the fill's scan of an empty mask.
     if isinstance(applied, Merge):
         _fill(table, np.arange(table.size) == applied.i - 1, counter)
     _refresh(table, counter)

@@ -36,15 +36,8 @@ from gmreduce import (
     update_cost_table,
 )
 from gmreduce import costs, gauss
-from gmreduce.costs import (
-    _gram_stats,
-    _merge_kernels,
-    _overlap_matrix,
-    _overlaps,
-    _pair_cost_from_neg_exponents,
-    _williams_merge_costs,
-)
-from gmreduce.gauss import ComponentArrays, _solve_lower, _whiten
+from gmreduce.costs import _merge_kernels, _overlap_matrix, _pair_costs, _williams_merge_costs
+from gmreduce.gauss import ComponentArrays, _overlaps, _solve_lower, _whitenings
 from gmreduce.gauss import log_pdf as g_log_pdf, max_value, pdf as g_pdf
 from gmreduce.quadrature import kld_quad
 
@@ -66,8 +59,10 @@ def test_runnalls_bound_scales_with_weights():
     a, b = _pair()
     half = runnalls_bound(a.with_weight(0.25), b.with_weight(0.25))
     assert abs(half - 0.5 * runnalls_bound(a, b)) < 1e-12
-    with pytest.raises(ValueError, match="zero total weight"):
-        runnalls_bound(a.with_weight(0.0), b.with_weight(0.0))
+    # One message for a weightless pair from every scalar merge.
+    for merge in (runnalls_bound, simple_merge_bound, arkl_merge_cost, moment_match_merge):
+        with pytest.raises(ValueError, match="cannot merge a pair with zero total weight"):
+            merge(a.with_weight(0.0), b.with_weight(0.0))
 
 
 def test_simple_merge_bound_worked_value():
@@ -96,9 +91,9 @@ def test_gaussian_overlap_matches_scipy():
 def test_gaussian_overlap_of_an_overflowing_covariance_sum_raises():
     """S_a + S_b overflows to inf: the documented LinAlgError, not an overflow warning."""
     c = GaussianComponent(1.0, [0.0], [[1e308]])
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+    with pytest.raises(np.linalg.LinAlgError, match=r"a covariance sum S_a \+ S_b is not positive definite"):
         gaussian_overlap(c, c)
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+    with pytest.raises(np.linalg.LinAlgError, match=r"a covariance sum S_a \+ S_b is not positive definite"):
         product_decompose(c, c)
 
 
@@ -226,6 +221,9 @@ def test_arkl_prune_cost_rejects_bad_index_and_single_component():
     whole = GaussianMixture.from_arrays([1.0, 1e-17], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
     with pytest.raises(ValueError, match="all of the mass"):
         arkl_prune_cost(whole, 1)
+    heavy = GaussianMixture.from_arrays([0.5, 0.7], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    with pytest.raises(ValueError, match="mixture weights sum to 1.2"):
+        arkl_prune_cost(heavy, 1)
 
 
 def test_arkl_prune_upper_bounds_true_divergence():
@@ -379,9 +377,7 @@ def test_arkl_merge_cost_assembly():
         (v_a,), (v_b,), _ = _merge_kernels(
             CostKind.ARKL_FULL, ComponentArrays.of((a,)), ComponentArrays.of((b,))
         )
-        assert arkl_merge_cost(a, b) == _pair_cost_from_neg_exponents(
-            a.weight, b.weight, v_a, v_b
-        )
+        assert arkl_merge_cost(a, b) == _pair_costs(CostKind.ARKL_FULL, a.weight, b.weight, v_a, v_b)
         gap_a = kld_gauss(merged, a) - v_a
         gap_b = kld_gauss(merged, b) - v_b
         assert gap_a >= 0.0
@@ -420,10 +416,11 @@ def _kernel_rows(arr, gram, rows, cols):
     """Every pair kernel over the pairs (rows[p], cols[p]), each array with its pair axis last."""
     a, b = arr.take(rows), arr.take(cols)
     rhs = np.concatenate([a.chols, (a.means - b.means)[:, :, None]], axis=2)
-    out = [np.moveaxis(_solve_lower(b.chols, rhs), 0, -1), *_whiten(a, b), _overlaps(a, b)]
+    out = [np.moveaxis(_solve_lower(b.chols, rhs), 0, -1), *_whitenings(b, a)[0], _overlaps(a, b)[0]]
     for kind in (CostKind.RUNNALLS_B, CostKind.ARKL_SIMPLE, CostKind.ARKL_FULL):
         out.extend(_merge_kernels(kind, a, b))
-    s, t = _gram_stats(arr.weights, gram)
+    s = gram @ arr.weights
+    t = float(arr.weights @ s)
     out.extend(_williams_merge_costs(arr, gram, s, t, rows, cols))
     return out
 
@@ -474,6 +471,12 @@ def test_hypothesis_cost_dispatch():
         hypothesis_cost(m, Prune(2), CostKind.RUNNALLS_B)
     with pytest.raises(ValueError):
         hypothesis_cost(m, "prune", CostKind.ARKL_FULL)
+    # An unnormalized mixture is refused as apply refuses it, under every method.
+    heavy = GaussianMixture.from_arrays([0.5, 0.7], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    for kind in CostKind:
+        for h in (Prune(1), Merge(1, 2)):
+            with pytest.raises(ValueError, match="mixture weights sum to 1.2"):
+                hypothesis_cost(heavy, h, kind)
     # A prune that leaves no other component to take the mass raises what apply raises.
     single = GaussianMixture((GaussianComponent(1.0, [0.0], [[1.0]]),))
     whole = GaussianMixture.from_arrays([1.0, 1e-17], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
@@ -514,7 +517,8 @@ def test_williams_cost_equals_direct_ise():
         table = build_cost_table(m, CostKind.WILLIAMS_ISE)
         w = m.weights
         gram = _overlap_matrix(*(ComponentArrays.of(m.components),) * 2)
-        s, t = _gram_stats(w, gram)
+        s = gram @ w
+        t = float(w @ s)
         for j in range(1, m.size + 1):
             got = table.prune_cost[j - 1]
             assert abs(got - ise_analytic(apply(m, Prune(j)), m)) < 1e-10 * max(1.0, abs(got))

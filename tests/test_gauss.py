@@ -17,6 +17,9 @@ from scipy.linalg import solve_triangular
 from conftest import random_component
 from gmreduce import (
     GaussianComponent,
+    GaussianMixture,
+    Merge,
+    apply,
     expected_log,
     kld_gauss,
     mahalanobis_sq,
@@ -290,13 +293,16 @@ def test_moment_match_is_forward_optimal_1d():
 def test_moment_match_overflow_is_factorization_error():
     a = GaussianComponent(0.5, [0.0], [[1.0]])
     b = GaussianComponent(0.5, [1e200], [[1.0]])
-    with pytest.raises(np.linalg.LinAlgError):
+    message = "moment-matched merge overflows or is not positive definite"
+    with pytest.raises(np.linalg.LinAlgError, match=message):
         moment_match_merge(a, b)
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        apply(GaussianMixture((a, b)), Merge(1, 2))
 
 
 def test_moment_match_zero_total_weight():
     a = GaussianComponent(0.0, [0.0], [[1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot merge a pair with zero total weight"):
         moment_match_merge(a, a)
 
 

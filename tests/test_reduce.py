@@ -1,5 +1,6 @@
 """Greedy reduction engine: caching, traces, counters, determinism."""
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -107,6 +108,26 @@ def test_update_table_matches_fresh_build(case):
         if got is not None:
             assert np.allclose(got, wanted, rtol=1e-10, atol=1e-14)
     assert (updated.prune_cost is None) == (kind is CostKind.RUNNALLS_B)
+
+
+def test_cost_table_of_one_component_is_refused():
+    """A build of one component, or a step down to one, raises one ValueError and leaves the table as it was."""
+    single = GaussianMixture((GaussianComponent(1.0, [0.0], [[1.0]]),))
+    pair = GaussianMixture.from_arrays([0.4, 0.6], [[0.0], [1.0]], [[[1.0]], [[2.0]]])
+    message = "a cost table needs at least two components, got 1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ALL_KINDS:
+            with pytest.raises(ValueError, match=message):
+                build_cost_table(single, kind)
+            table = build_cost_table(pair, kind)
+            before = {f.name: getattr(table, f.name) for f in fields(table)}
+            copies = {name: v.copy() for name, v in before.items() if isinstance(v, np.ndarray)}
+            for h in (Prune(1), Merge(1, 2)):
+                with pytest.raises(ValueError, match=message):
+                    update_cost_table(table, h)
+                assert all(getattr(table, name) is v for name, v in before.items())
+                assert all(np.array_equal(getattr(table, name), v) for name, v in copies.items())
 
 
 @st.composite
