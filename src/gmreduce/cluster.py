@@ -26,7 +26,7 @@ import numpy as np
 from . import mixture as mix
 from .costs import CostKind
 from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _log_sum_exp, _points
-from .mixture import GaussianMixture, Merge, Prune, _apply, _component_log_pdf
+from .mixture import GaussianMixture, Prune, _apply, _component_log_pdf
 from .reduction import ReductionTrace, reduce
 
 __all__ = [

@@ -8,11 +8,11 @@ and evaluate all rows in stacked numpy calls.  :mod:`gmreduce.gauss`
 owns the divergence, overlap and moment-match entry points and their
 errors; the merge kernels of ``runnalls``, ``arkl-simple`` and ``arkl``
 (:func:`_merge_kernels`) are built on them, and the divergence costs are
-batches of one over these kernels in both engines.  Outside the engine
-the squared-error cost is its definition, ``ise_analytic(m, apply(m, h))``,
-which the engine's Gram assembly matches to rounding (checked by the
-identity ISE = w_m^2 K_ij).  Arrays put the pair axis last, and a row's
-value does not depend on the batch it is computed in.
+batches of one over these kernels in both engines.  So is the
+squared-error cost, with the pair-local :func:`_merge_ise` and
+:func:`_prune_ise`: both engines price every step bit for bit alike.
+Arrays put the pair axis last, and a row's value does not depend on the
+batch it is computed in.
 
 The merge-direction surrogates follow one pattern: a candidate action's
 cost has the form
@@ -63,7 +63,7 @@ from .gauss import (
     moment_match_merge,  # noqa: F401 -- kept importable here for call tracers
     product_decompose,  # noqa: F401 -- kept importable here for call tracers
 )
-from .mixture import GaussianMixture, Hypothesis, Merge, Prune
+from .mixture import GaussianMixture, Hypothesis, Prune
 
 __all__ = [
     "CostKind",
@@ -441,59 +441,54 @@ def arkl_merge_cost(a: GaussianComponent, b: GaussianComponent) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gram-based squared-error assembly (shared with the reduction engine)
+# Pair-local squared errors: one definition for both engines
 # ---------------------------------------------------------------------------
 
 
-def _prune_ise_from_gram(weights: np.ndarray, gram: np.ndarray, s: np.ndarray, t: float, j0) -> np.ndarray:
-    """ISE between the mixture and its renormalized prunes of ``j0`` (index array), from cached overlaps."""
-    w_j = weights[j0]
-    c = 1.0 / (1.0 - w_j)
-    own = t - 2.0 * w_j * s[j0] + w_j * w_j * gram[j0, j0]
-    cross = t - w_j * s[j0]
-    return t + c * c * own - 2.0 * c * cross
+def _merge_ise(w_i, w_j, g_ii, g_jj, g_ij, u_mi, u_mj, u_mm):
+    """ISE of merging q_i, q_j into q_m, elementwise, from the overlaps G among q_i, q_j and U of q_m with each.
+
+    p - q = d = w_i q_i + w_j q_j - w_m q_m, so the ISE is w_i d_i + w_j d_j - w_m d_m with d_k = <q_k, d>:
+    no term of the rest of the mixture, and exactly 0 for identical components of equal weight.
+    """
+    w_m = w_i + w_j
+    d_i, d_j = w_i * g_ii + w_j * g_ij - w_m * u_mi, w_j * g_jj + w_i * g_ij - w_m * u_mj
+    return w_i * d_i + w_j * d_j - w_m * (w_i * u_mi + w_j * u_mj - w_m * u_mm)
+
+
+def _prune_ise(w_j, g_jj, s_j, t):
+    """ISE of pruning q_j, elementwise, from G_jj, s = G w and t = w^T G w: p - q = (w_j / (1 - w_j)) (q_j - p)."""
+    c = w_j / (1.0 - w_j)
+    return c * c * (g_jj - 2.0 * s_j + t)
 
 
 def _williams_merge_costs(
-    arr: ComponentArrays, gram: np.ndarray, s: np.ndarray, t: float, i0: np.ndarray, j0: np.ndarray
+    arr: ComponentArrays, gram: np.ndarray, i0: np.ndarray, j0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ISE between the mixture and each of its (i0[p], j0[p]) merges, and a flag per pair.
+    """:func:`_merge_ise` of each (i0[p], j0[p]) merge of the mixture, and a flag per pair.
 
     Each candidate's overlaps with the current components are evaluated
     in one stacked call per component, so memory stays proportional to
-    the number of pairs; everything else comes from the Gram matrix of
-    the unmodified mixture.  A pair whose moment match fails or one of
-    whose overlaps overflows is flagged False and costs +inf, as in the
-    reference engine.  Costs n + 1 overlaps per flagged-True pair.
+    the number of pairs.  The cost reads those with the pair's own
+    components.  A pair whose moment match fails or one of whose overlaps
+    overflows is flagged False and costs +inf, as in the reference engine.
+    Costs n + 1 overlaps per pair whose moment match succeeds.
     """
     w = arr.weights
     merged, ok = _moment_match(arr.take(i0), arr.take(j0))
     cand = merged.take(ok)
     i0, j0 = i0[ok], j0[ok]
-    u_i = np.empty(len(cand))
-    u_j = np.empty(len(cand))
-    wu = np.zeros(len(cand))
+    u_i, u_j = np.empty((2, len(cand)))
     u_mm, _, valid = _overlap_solves(cand, cand)
     for k in range(len(arr)):
         u, _, valid_k = _overlap_solves(arr.take([k]), cand)
         valid &= valid_k
-        wu += w[k] * u
         at_i, at_j = i0 == k, j0 == k
         u_i[at_i] = u[at_i]
         u_j[at_j] = u[at_j]
-    w_i, w_j = w[i0], w[j0]
-    w_m = w_i + w_j
-    survivors_sq = (
-        t
-        - 2.0 * (w_i * s[i0] + w_j * s[j0])
-        + (w_i * w_i * gram[i0, i0] + 2.0 * w_i * w_j * gram[i0, j0] + w_j * w_j * gram[j0, j0])
-    )
-    wu_surv = wu - w_i * u_i - w_j * u_j
-    q_sq = survivors_sq + 2.0 * w_m * wu_surv + w_m * w_m * u_mm
-    pq = (t - w_i * s[i0] - w_j * s[j0]) + w_m * wu
     costs = np.full(len(ok), np.inf)
     ok[ok] = valid
-    costs[ok] = (t + q_sq - 2.0 * pq)[valid]
+    costs[ok] = _merge_ise(w[i0], w[j0], gram[i0, i0], gram[j0, j0], gram[i0, j0], u_i, u_j, u_mm)[valid]
     return costs, ok
 
 
@@ -507,7 +502,15 @@ def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind) -> float:
     """
     mix._require_normalized(m)
     if kind is CostKind.WILLIAMS_ISE:
-        return ise_analytic(m, GaussianMixture._of(mix._apply(m._arr, h)))
+        # ise_analytic's three Gram matrices in full, read pair-locally.
+        p, q = m._arr, mix._apply(m._arr, h)
+        gpp, gqq, gpq = _overlap_matrix(p, p), _overlap_matrix(q, q), _overlap_matrix(p, q)
+        w, j = p.weights, h.j - 1
+        if isinstance(h, Prune):
+            s = gpp @ w
+            return float(_prune_ise(w[j], gpp[j, j], s[j], w @ s))
+        i = h.i - 1
+        return float(_merge_ise(w[i], w[j], gpp[i, i], gpp[j, j], gpp[i, j], gpq[i, i], gpq[j, i], gqq[i, i]))
     mix._check_hypothesis(m._arr, h)
     if isinstance(h, Prune):
         if kind is CostKind.RUNNALLS_B:

@@ -37,11 +37,11 @@ elementwise expression over the whole matrix (+inf marks what is not a
 live pair).  The output mixture is built once, at the end.
 This keeps the divergence-based methods at O(N^2) primitive evaluations
 for a full N -> 1 reduction.  The squared-error method re-evaluates
-every candidate merge's overlaps with the surviving components each
-step (the candidates' mixtures change with the surviving set): O(N^3)
-evaluations per step instead of the O(N^4) of a from-scratch
-evaluation, done as one stacked call per component so that memory stays
-proportional to the number of pairs.
+every candidate merge's overlaps with all the current components each
+step (a cost reads three, but any may overflow): O(N^3) evaluations per
+step instead of the O(N^4) of a from-scratch evaluation, done as one
+stacked call per component so that memory stays proportional to the
+number of pairs.
 
 A merge candidate whose moment match overflows or fails to factorize, or
 whose merge exponents are not finite, gets +inf kernels and so +inf
@@ -52,8 +52,8 @@ applied at every step the pair survives.
 
 :func:`reference_reduce` prices every hypothesis from scratch through
 :func:`gmreduce.costs.hypothesis_cost`: divergence costs as batches of
-one over the same kernels, and the squared-error cost as its definition,
-which the Gram assembly above matches to rounding.
+one over the same kernels, and the squared-error cost by the same
+pair-local helpers, which it reads off full Gram matrices.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .costs import (
     _crude_prune,
     _merge_kernels,
     _pair_costs,
-    _prune_ise_from_gram,
+    _prune_ise,
     _williams_merge_costs,
     arkl_prune_cost,  # noqa: F401 -- kept importable here for call tracers
     gaussian_overlap,  # noqa: F401 -- kept importable here for call tracers
@@ -198,9 +198,8 @@ def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
     if kind is CostKind.WILLIAMS_ISE:
         iu, ju = np.triu_indices(n, k=1)
         s = table.gram @ w
-        t = float(w @ s)
-        table.prune_cost = _prune_ise_from_gram(w, table.gram, s, t, np.arange(n))
-        costs, ok = _williams_merge_costs(arr, table.gram, s, t, iu, ju)
+        table.prune_cost = _prune_ise(w, np.diagonal(table.gram), s, w @ s)
+        costs, ok = _williams_merge_costs(arr, table.gram, iu, ju)
         table.pair_cost = np.full((n, n), np.inf)
         table.pair_cost[iu, ju] = costs
         _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
@@ -245,14 +244,11 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
     return table
 
 
-def _delete_rc(table: CostTable, idx: int) -> None:
-    """Delete row and column ``idx`` of every cached statistic of ``table``; the prices are recomputed."""
-    keep = np.delete(np.arange(table.size), idx)
-    grid = np.ix_(keep, keep)
-    for name in ("pairwise_kld", "gram", "kernel_a", "kernel_b"):
-        cached = getattr(table, name)
-        if cached is not None:
-            setattr(table, name, cached[grid])
+def _delete_rc(table: CostTable, idx: int, arr: ComponentArrays) -> CostTable:
+    """A new table on ``arr``, unpriced, with ``table``'s cached statistics less row and column ``idx``."""
+    grid = np.ix_(*[np.delete(np.arange(table.size), idx)] * 2)
+    cached = {name: getattr(table, name) for name in ("pairwise_kld", "gram", "kernel_a", "kernel_b")}
+    return CostTable(table.kind, arr, **{name: v[grid] for name, v in cached.items() if v is not None})
 
 
 def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounter | None = None) -> None:
@@ -264,15 +260,15 @@ def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounte
     i fresh).  Every other kernel, pairwise divergence and Gram entry is
     carried over, and every price is recomputed.  A step that leaves one
     component, or that :func:`mixture._apply` rejects, raises before the table changes.
+    The step runs on new arrays, so a fill that raises leaves the table as it was, too.
     """
     _check_table_size(table.size - 1)
-    arr = mix._apply(table.arr, applied)
-    _delete_rc(table, applied.j - 1)
-    table.arr = arr
+    step = _delete_rc(table, applied.j - 1, mix._apply(table.arr, applied))
     # A prune leaves no fresh component: skip the fill's scan of an empty mask.
     if isinstance(applied, Merge):
-        _fill(table, np.arange(table.size) == applied.i - 1, counter)
-    _refresh(table, counter)
+        _fill(step, np.arange(step.size) == applied.i - 1, counter)
+    _refresh(step, counter)
+    vars(table).update(vars(step))
 
 
 @dataclass(frozen=True)
@@ -359,9 +355,8 @@ def reduce(
 def _naive_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, counter: EvalCounter | None) -> float:
     """From-scratch :func:`hypothesis_cost` of one hypothesis, counting every evaluation.
 
-    Divergence costs agree with the cached engine bit for bit wherever the
-    inputs do, and squared-error costs to rounding.  A degenerate merge
-    costs +inf, unbilled.
+    Costs agree with the cached engine bit for bit wherever the inputs
+    do.  A degenerate merge costs +inf, unbilled.
     """
     n = m.size
     try:

@@ -419,9 +419,7 @@ def _kernel_rows(arr, gram, rows, cols):
     out = [np.moveaxis(_solve_lower(b.chols, rhs), 0, -1), *_whitenings(b, a)[0], _overlaps(a, b)[0]]
     for kind in (CostKind.RUNNALLS_B, CostKind.ARKL_SIMPLE, CostKind.ARKL_FULL):
         out.extend(_merge_kernels(kind, a, b))
-    s = gram @ arr.weights
-    t = float(arr.weights @ s)
-    out.extend(_williams_merge_costs(arr, gram, s, t, rows, cols))
+    out.extend(_williams_merge_costs(arr, gram, rows, cols))
     return out
 
 
@@ -502,7 +500,7 @@ def test_hypothesis_cost_dispatch():
 
 
 def test_williams_cost_equals_direct_ise():
-    """The engine's Gram-assembled costs are the ISE between reduced and original.
+    """The engine's pair-local costs are the ISE between reduced and original.
 
     A second oracle is the pair-local identity.  With t = w^T G w and
     s = G w, a merge of (i, j) into q_m costs

@@ -130,6 +130,18 @@ def test_cost_table_of_one_component_is_refused():
                 assert all(np.array_equal(getattr(table, name), v) for name, v in copies.items())
 
 
+def test_cost_table_step_that_raises_leaves_the_table_as_it_was():
+    """A ``williams`` Gram fill whose covariance sum overflows raises, and no field of the table changes."""
+    m = GaussianMixture.from_arrays([0.3, 0.3, 0.4], [[0.0], [1.3e154], [0.0]], [[[0.85e308]]] * 3)
+    table = build_cost_table(m, CostKind.WILLIAMS_ISE)
+    before = {f.name: getattr(table, f.name) for f in fields(table)}
+    copies = {name: v.copy() for name, v in before.items() if isinstance(v, np.ndarray)}
+    with pytest.raises(np.linalg.LinAlgError):
+        update_cost_table(table, Merge(1, 2))
+    assert all(getattr(table, name) is v for name, v in before.items())
+    assert all(np.array_equal(getattr(table, name), v) for name, v in copies.items())
+
+
 @st.composite
 def _ill_conditioned_mixtures(draw):
     """Two to eight components in d <= 8, condition numbers up to 1e12, weights in [1e-9, 1] before normalizing."""
@@ -210,6 +222,24 @@ def test_every_merge_the_kernels_flag_valid_applies(m, log_shift):
             elif kind is not CostKind.ARKL_FULL:
                 with pytest.raises(np.linalg.LinAlgError):
                     apply(m, Merge(i + 1, j + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ill_conditioned_mixtures())
+def test_williams_engines_agree_bit_for_bit_on_ill_conditioned_mixtures(m):
+    """Both engines price every ``williams`` step by one definition: the same choices, costs, flags and skips.
+
+    Costs are compared with ``==``; a run that raises must raise the same message in both.
+    """
+    outcomes = []
+    for engine in (reduce, reference_reduce):
+        try:
+            _, trace = engine(m, 1, CostKind.WILLIAMS_ISE)
+        except np.linalg.LinAlgError as exc:
+            outcomes.append(str(exc))
+            continue
+        outcomes.append(([(s.chosen, s.cost, s.flags) for s in trace.steps], trace.skipped))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -467,15 +497,22 @@ def test_tied_merges_go_to_the_first_pair_and_never_to_the_diagonal():
 
     A component paired with itself would also price at 0, so the pick
     must only ever see the live upper triangle of the pair matrix.
+
+    The squared error of pruning one of three identical components is 0
+    too, so under ``williams`` the tie goes to the first prune.  Its
+    pair-local costs are exactly 0, with no flag, in both engines.
     """
     x = ([1.0, -0.5], [[1.5, 0.3], [0.3, 0.8]])
     y = ([-2.0, 2.5], [[0.6, -0.1], [-0.1, 1.2]])
-    cases = (((x, y, x), (0.3, 0.4, 0.3), Merge(1, 3)), ((x, x, x), (1 / 3, 1 / 3, 1 / 3), Merge(1, 2)))
-    for kind in (CostKind.RUNNALLS_B, CostKind.ARKL_FULL, CostKind.ARKL_SIMPLE):
-        for parts, weights, want in cases:
+    for kind in ALL_KINDS:
+        same = Prune(1) if kind is CostKind.WILLIAMS_ISE else Merge(1, 2)
+        for parts, weights, want in (((x, y, x), (0.3, 0.4, 0.3), Merge(1, 3)), ((x, x, x), (1 / 3,) * 3, same)):
             m = GaussianMixture.from_arrays(np.array(weights), *zip(*parts))
             for engine in (reduce, reference_reduce):
-                assert engine(m, 2, kind)[1].steps[0].chosen == want
+                step = engine(m, 2, kind)[1].steps[0]
+                assert step.chosen == want
+                if kind is CostKind.WILLIAMS_ISE:
+                    assert (step.cost, step.flags) == (0.0, ())
 
 
 def test_counter_total():
