@@ -98,6 +98,12 @@ class CostKind(enum.Enum):
         return self is not CostKind.RUNNALLS_B
 
 
+def _check_kind(kind) -> None:
+    """The one check that a method argument names a cost."""
+    if not isinstance(kind, CostKind):
+        raise ValueError(f"kind must be a CostKind, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class DivergenceEstimate:
     """A divergence value together with its sampling uncertainty.
@@ -285,10 +291,8 @@ def _merge_kernels(
         return d_a, d_b, ok
     if kind is CostKind.ARKL_SIMPLE:
         return _whitenings(a, merged)[0][0], _whitenings(b, merged)[0][0], ok
-    if kind is CostKind.ARKL_FULL:
-        e_a, e_b, pooled_ok = _arkl_exponents(a, b, merged)
-        return e_a, e_b, ok & pooled_ok
-    raise ValueError(f"no pair kernel for {kind}")
+    e_a, e_b, pooled_ok = _arkl_exponents(a, b, merged)
+    return e_a, e_b, ok & pooled_ok
 
 
 def _pair_costs(kind: CostKind, w_i, w_j, k_a, k_b):
@@ -495,11 +499,12 @@ def _williams_merge_costs(
 def hypothesis_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind) -> float:
     """Cost assigned to a single hypothesis under the given method.
 
-    ``m`` and ``h`` are checked as :func:`~gmreduce.mixture.apply` checks
-    them, with its messages under every method, and the statistics are
-    computed from ``m`` on the fly.  Pruning is not part of the Runnalls
-    hypothesis set, so it has no cost there.
+    ``kind`` is checked as the engines check it, ``m`` and ``h`` as
+    :func:`~gmreduce.mixture.apply` checks them, with its messages under
+    every method, and the statistics are computed from ``m`` on the fly.
+    Pruning is not part of the Runnalls hypothesis set, so it has no cost there.
     """
+    _check_kind(kind)
     mix._require_normalized(m)
     if kind is CostKind.WILLIAMS_ISE:
         # ise_analytic's three Gram matrices in full, read pair-locally.

@@ -12,17 +12,15 @@ and :mod:`gmreduce.costs`: a step hands them the index lists of all the pairs
 it needs and gets every value back from one stacked evaluation, never
 from a Python loop over pairs.  The engine's only state is a
 :class:`CostTable`: the current components, stacked in canonical order,
-and the statistics cached across steps, which are exactly the
-weight-independent part of each cost:
+and the statistics the divergence methods cache across steps, which are
+exactly the weight-independent part of each cost:
 
 * divergences between existing components (the full pairwise matrix used
   by the refined prune cost),
 * per-pair divergences to/from the pair's moment match and the merge
   exponents of the full reverse-divergence method -- these depend only
   on the pair's relative weights, which no prune or unrelated merge can
-  change,
-* the Gram matrix of pairwise overlap integrals for the squared-error
-  method.
+  change.
 
 The cached statistics have one fill path, :func:`_fill`: given a mask
 of fresh components, it evaluates every statistic of every pair that
@@ -36,12 +34,12 @@ repriced from the kernels under the renormalized weights in one
 elementwise expression over the whole matrix (+inf marks what is not a
 live pair).  The output mixture is built once, at the end.
 This keeps the divergence-based methods at O(N^2) primitive evaluations
-for a full N -> 1 reduction.  The squared-error method re-evaluates
-every candidate merge's overlaps with all the current components each
-step (a cost reads three, but any may overflow): O(N^3) evaluations per
-step instead of the O(N^4) of a from-scratch evaluation, done as one
-stacked call per component so that memory stays proportional to the
-number of pairs.
+for a full N -> 1 reduction.  The squared-error method evaluates the
+Gram matrix of the current components and every candidate merge's
+overlaps with all of them each step (a cost reads three, but any may
+overflow): O(N^3) evaluations per step instead of the O(N^4) of a
+from-scratch evaluation, the candidates' done as one stacked call per
+component so that memory stays proportional to the number of pairs.
 
 A merge candidate whose moment match overflows or fails to factorize, or
 whose merge exponents are not finite, gets +inf kernels and so +inf
@@ -66,6 +64,7 @@ from . import mixture as mix
 from .costs import (
     CostKind,
     _arkl_prune_terms,
+    _check_kind,
     _crude_prune,
     _merge_kernels,
     _pair_costs,
@@ -79,7 +78,7 @@ from .costs import (
 )
 from .gauss import (
     ComponentArrays,
-    _overlaps,
+    _overlap_solves,
     _whitenings,
     moment_match_merge,  # noqa: F401 -- kept importable here for call tracers
 )
@@ -136,12 +135,11 @@ class CostTable:
     ``pair_cost[i0, j0]`` (0-based, upper triangle, +inf elsewhere and
     where the merge cannot be priced) is the cost of merging that pair,
     ``prune_cost[j0]`` that of the prune (``None`` for the merge-only
-    method).  Statistics carried across steps: ``pairwise_kld[a, b]`` is
-    D(component a || component b) for the refined prune cost, ``gram``
-    the overlap integrals for the squared-error method, and
-    ``kernel_a``/``kernel_b`` the weight-independent merge kernels, +inf
-    off the upper triangle and where they cannot be evaluated.
-    :func:`update_cost_table` advances every field in place.
+    method), and ``gram`` the overlap integrals of the squared-error
+    method.  Carried across steps: ``pairwise_kld[a, b]`` is D(component
+    a || component b) for the refined prune cost, and ``kernel_a``/``kernel_b``
+    the weight-independent merge kernels, +inf off the upper triangle and
+    where they cannot be evaluated.  :func:`update_cost_table` advances every field in place.
     """
 
     kind: CostKind
@@ -161,19 +159,15 @@ class CostTable:
 def _fill(table: CostTable, fresh: np.ndarray, counter: EvalCounter | None) -> None:
     """Evaluate every cached statistic of a pair touching a component in the mask ``fresh``.
 
-    One batch per statistic: Gram entries on and above the diagonal, or
-    ordered pairwise divergences and upper-triangle merge kernels.  A
-    pair whose kernels cannot be evaluated gets +inf kernels, which
-    price its merge at +inf.  Bills one unit per Gram entry and per
-    divergence, two per pair with valid kernels.
+    One batch per statistic: ordered pairwise divergences and
+    upper-triangle merge kernels.  A pair whose kernels cannot be
+    evaluated gets +inf kernels, which price its merge at +inf.  Bills
+    one unit per divergence, two per pair with valid kernels.
     """
+    if table.kernel_a is None:  # the squared-error method caches nothing
+        return
     arr = table.arr
     rows, cols = np.nonzero(fresh[:, None] | fresh)
-    if table.gram is not None:
-        gi, gj = rows[rows <= cols], cols[rows <= cols]
-        table.gram[gi, gj] = table.gram[gj, gi] = _overlaps(arr.take(gi), arr.take(gj))[0]
-        _bill(counter, "overlap", gi.size)
-        return
     if table.pairwise_kld is not None:
         a, b = rows[rows != cols], cols[rows != cols]
         table.pairwise_kld[a, b] = _whitenings(arr.take(b), arr.take(a))[0][0]
@@ -189,20 +183,26 @@ def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
     """Price every prune and every upper pair afresh under the current weights.
 
     The divergence methods price the whole matrix from the cached
-    kernels.  The squared-error method evaluates each candidate merge's
-    overlaps with the n current components, n + 1 per pair whose moment
+    kernels.  The squared-error method evaluates the n (n + 1) / 2 Gram
+    entries, every price +inf if one overflows, and else each candidate
+    merge's overlaps with the n components, n + 1 per pair whose moment
     match succeeds; the others cost +inf.
     """
     kind, arr = table.kind, table.arr
     n, w = len(arr), arr.weights
     if kind is CostKind.WILLIAMS_ISE:
-        iu, ju = np.triu_indices(n, k=1)
-        s = table.gram @ w
-        table.prune_cost = _prune_ise(w, np.diagonal(table.gram), s, w @ s)
-        costs, ok = _williams_merge_costs(arr, table.gram, iu, ju)
-        table.pair_cost = np.full((n, n), np.inf)
-        table.pair_cost[iu, ju] = costs
-        _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
+        gi, gj = np.triu_indices(n)
+        gram, _, gram_ok = _overlap_solves(arr.take(gi), arr.take(gj))
+        _bill(counter, "overlap", gi.size)
+        table.gram = np.empty((n, n))
+        table.gram[gi, gj] = table.gram[gj, gi] = gram
+        table.pair_cost, table.prune_cost = np.full((n, n), np.inf), np.full(n, np.inf)
+        if np.all(gram_ok):  # else the reference's Gram matrices raise for every hypothesis
+            s = table.gram @ w
+            table.prune_cost = _prune_ise(w, np.diagonal(table.gram), s, w @ s)
+            iu, ju = np.triu_indices(n, 1)
+            table.pair_cost[iu, ju], ok = _williams_merge_costs(arr, table.gram, iu, ju)
+            _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
         return
     table.pair_cost = _pair_costs(kind, w[:, None], w, table.kernel_a, table.kernel_b)
     if kind is CostKind.ARKL_SIMPLE:
@@ -213,8 +213,7 @@ def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
 
 def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = None) -> None:
     """The argument checks of both engines; the target is checked only when given."""
-    if not isinstance(kind, CostKind):
-        raise ValueError(f"kind must be a CostKind, got {kind!r}")
+    _check_kind(kind)
     if target is not None and not (mix._is_integer(target) and 1 <= target <= m.size):
         raise ValueError(f"target must be an integer in [1, {m.size}], got {target!r}")
     if target is not None:
@@ -233,9 +232,7 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
     _check_table_size(m.size)
     n = m.size
     table = CostTable(kind, m._arr)
-    if kind is CostKind.WILLIAMS_ISE:
-        table.gram = np.empty((n, n))
-    else:
+    if kind is not CostKind.WILLIAMS_ISE:
         table.kernel_a, table.kernel_b = np.full((n, n), np.inf), np.full((n, n), np.inf)
     if kind is CostKind.ARKL_FULL:
         table.pairwise_kld = np.zeros((n, n))
@@ -244,31 +241,26 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
     return table
 
 
-def _delete_rc(table: CostTable, idx: int, arr: ComponentArrays) -> CostTable:
-    """A new table on ``arr``, unpriced, with ``table``'s cached statistics less row and column ``idx``."""
-    grid = np.ix_(*[np.delete(np.arange(table.size), idx)] * 2)
-    cached = {name: getattr(table, name) for name in ("pairwise_kld", "gram", "kernel_a", "kernel_b")}
-    return CostTable(table.kind, arr, **{name: v[grid] for name, v in cached.items() if v is not None})
-
-
 def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounter | None = None) -> None:
     """Advance a cost table in place across one applied hypothesis.
 
     The table's components move one step through :func:`mixture._apply`,
     row and column j of every cached matrix are deleted, and a merge
     refills the pairs of the merged component i (:func:`_fill` with only
-    i fresh).  Every other kernel, pairwise divergence and Gram entry is
-    carried over, and every price is recomputed.  A step that leaves one
-    component, or that :func:`mixture._apply` rejects, raises before the table changes.
-    The step runs on new arrays, so a fill that raises leaves the table as it was, too.
+    i fresh).  Every other kernel and pairwise divergence is carried
+    over, and every price is recomputed.  A step that leaves one component,
+    or that :func:`mixture._apply` rejects, raises before the table changes.
     """
     _check_table_size(table.size - 1)
-    step = _delete_rc(table, applied.j - 1, mix._apply(table.arr, applied))
+    keep = np.arange(table.size) != applied.j - 1
+    table.arr = mix._apply(table.arr, applied)
+    for name in ("pairwise_kld", "kernel_a", "kernel_b"):
+        if getattr(table, name) is not None:
+            setattr(table, name, getattr(table, name)[np.ix_(keep, keep)])
     # A prune leaves no fresh component: skip the fill's scan of an empty mask.
     if isinstance(applied, Merge):
-        _fill(step, np.arange(step.size) == applied.i - 1, counter)
-    _refresh(step, counter)
-    vars(table).update(vars(step))
+        _fill(table, np.arange(table.size) == applied.i - 1, counter)
+    _refresh(table, counter)
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,7 @@ def test_cluster_accepts_csv_input(tmp_path):
         writer.writerow(["x1", "x2", "truth"])
         for _ in range(40):
             writer.writerow([repr(rng.normal()), repr(rng.normal()), "1"])
+        writer.writerow([])  # a blank line is skipped
         for _ in range(40):
             writer.writerow([repr(10.0 + rng.normal()), repr(rng.normal()), "2"])
     prefix = str(tmp_path / "csvrun")
@@ -375,7 +376,9 @@ def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
 
 def test_bad_mixture_documents_exit_2(tmp_path, capsys):
     cases = [
+        [_standard_doc()],
         {"components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]},
+        dict(_standard_doc(), dim=0),
         {"dim": 1, "components": []},
         {"dim": 2, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]},
         _two_component_doc(w1=1.2),
@@ -404,6 +407,8 @@ def test_bad_mixture_documents_exit_2(tmp_path, capsys):
         path = _write_doc(tmp_path / "m.json", doc)
         assert main(["reduce", "--in", path, "--method", "arkl", "--target", "1"]) == 2
     err = capsys.readouterr().err
+    assert "mixture document must be a JSON object" in err
+    assert "dim must be an integer of at least 1, got 0" in err
     assert "component 1 is malformed: weight must be a number, got True" in err
     assert "component 1 is malformed: cov must be a number, got '1.0'" in err
     assert "weights sum to 1.1; must be within" in err
@@ -465,6 +470,8 @@ def test_bad_gen_spec_exit_2(tmp_path, capsys):
     assert main(base + ["--gen", "n=abc"]) == 2
     assert main(base + ["--gen", "bogus=3"]) == 2
     assert main(base + ["--gen", "n"]) == 2
+    # An empty entry is skipped, not refused.
+    assert main(base + ["--gen", "n=50,,m=5"]) == 0
     capsys.readouterr()
 
 

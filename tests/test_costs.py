@@ -469,6 +469,10 @@ def test_hypothesis_cost_dispatch():
         hypothesis_cost(m, Prune(2), CostKind.RUNNALLS_B)
     with pytest.raises(ValueError):
         hypothesis_cost(m, "prune", CostKind.ARKL_FULL)
+    # The method is checked as the engines check it, for a prune and for a merge.
+    for h in (Prune(1), Merge(1, 2)):
+        with pytest.raises(ValueError, match="kind must be a CostKind, got 'williams'"):
+            hypothesis_cost(m, h, "williams")
     # An unnormalized mixture is refused as apply refuses it, under every method.
     heavy = GaussianMixture.from_arrays([0.5, 0.7], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
     for kind in CostKind:

@@ -130,16 +130,17 @@ def test_cost_table_of_one_component_is_refused():
                 assert all(np.array_equal(getattr(table, name), v) for name, v in copies.items())
 
 
-def test_cost_table_step_that_raises_leaves_the_table_as_it_was():
-    """A ``williams`` Gram fill whose covariance sum overflows raises, and no field of the table changes."""
+def test_a_williams_gram_entry_that_overflows_prices_every_hypothesis_inf():
+    """Built or stepped, the table prices every hypothesis +inf, and both engines raise the same error."""
     m = GaussianMixture.from_arrays([0.3, 0.3, 0.4], [[0.0], [1.3e154], [0.0]], [[[0.85e308]]] * 3)
-    table = build_cost_table(m, CostKind.WILLIAMS_ISE)
-    before = {f.name: getattr(table, f.name) for f in fields(table)}
-    copies = {name: v.copy() for name, v in before.items() if isinstance(v, np.ndarray)}
-    with pytest.raises(np.linalg.LinAlgError):
-        update_cost_table(table, Merge(1, 2))
-    assert all(getattr(table, name) is v for name, v in before.items())
-    assert all(np.array_equal(getattr(table, name), v) for name, v in copies.items())
+    merged = apply(m, Merge(1, 2))  # weights [0.6, 0.4], variances 1.2725e308 and 0.85e308
+    stepped = build_cost_table(m, CostKind.WILLIAMS_ISE)
+    update_cost_table(stepped, Merge(1, 2))
+    for table in (build_cost_table(merged, CostKind.WILLIAMS_ISE), stepped):
+        assert np.all(table.pair_cost == np.inf) and np.all(table.prune_cost == np.inf)
+    for engine in (reduce, reference_reduce):
+        with pytest.raises(np.linalg.LinAlgError, match="^every admissible hypothesis is degenerate$"):
+            engine(merged, 1, CostKind.WILLIAMS_ISE)
 
 
 @st.composite

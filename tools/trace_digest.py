@@ -12,7 +12,7 @@ all four methods, once to 1 component and once by 4 steps, with
 * ``degenerate``: well-conditioned mixtures with one component moved to
   +-1e200, so that its merges cannot be moment-matched.
 
-It prints seven SHA-256 digests.  The core digest covers each
+It prints eight SHA-256 digests.  The core digest covers each
 reduction's chosen hypotheses, costs (as hex), flags, ``all_costs``,
 evaluation counts, and the output weights, means, covariances, Cholesky
 factors and log determinants; a reduction that raises contributes its
@@ -51,6 +51,12 @@ error type and message.  The script reports, per method, on how many of
 them the engines agree: the same choices and ``skipped``, or the same
 error type.  It reports the same agreement count, outside every digest,
 for the reductions to 1 of the ``bench`` and ``ill`` mixtures.
+
+The ``uncounted`` digest covers the ``decisions`` records and the
+``narrow`` records without their ``eval_count`` and
+``per_step_eval_counts``.  A change that moves ``decisions`` or
+``narrow`` but not ``uncounted`` changed only what the engines bill,
+not what they chose.
 """
 
 from __future__ import annotations
@@ -108,13 +114,14 @@ def _narrow_arrays(index: int):
 
 
 def _engine_outcome(engine, m, kind):
-    """(agreement key, digest record) of one reduction to 1, or of the error it raises."""
+    """(agreement key, digest record, record without counts) of one reduction to 1, or of its error."""
     try:
         out, trace = engine(m, 1, kind)
     except Exception as exc:
-        return type(exc).__name__, (type(exc).__name__, str(exc))
-    skipped = _skipped_record(trace)
-    return ([_hyp(s.chosen) for s in trace.steps], skipped), (_core_record(trace, out), skipped)
+        error = (type(exc).__name__, str(exc))
+        return error[0], error, error
+    skipped, core = _skipped_record(trace), _core_record(trace, out)
+    return ([_hyp(s.chosen) for s in trace.steps], skipped), (core, skipped), (_uncounted(core), skipped)
 
 
 def _hyp(h) -> tuple:
@@ -189,6 +196,12 @@ def _decisions_record(trace, out) -> tuple:
     return ([(chosen, size, flags) for chosen, _, size, flags, _ in steps], eval_count, per_step, comps)
 
 
+def _uncounted(record) -> tuple:
+    """A core or decisions record without its evaluation counts."""
+    steps, _, _, comps = record
+    return steps, comps
+
+
 def _skipped_record(trace) -> tuple:
     return tuple((step, _hyp(h)) for step, h in trace.skipped)
 
@@ -201,7 +214,7 @@ def main(argv=None) -> int:
     from gmreduce import CostKind, GaussianMixture, reduce, reference_reduce
 
     warnings.simplefilter("error", RuntimeWarning)
-    core, decisions, skipped, reference, api, switched = (hashlib.sha256() for _ in range(6))
+    core, decisions, skipped, reference, api, switched, uncounted = (hashlib.sha256() for _ in range(7))
     for family in FAMILIES[:2]:
         for index in range(API_PER_FAMILY):
             api_record, switched_record = _api_records(family, index)
@@ -215,7 +228,7 @@ def main(argv=None) -> int:
             try:
                 m = GaussianMixture.from_arrays(*_arrays(family, index))
             except (ValueError, np.linalg.LinAlgError) as exc:
-                for digest in (core, decisions):
+                for digest in (core, decisions, uncounted):
                     digest.update(repr((family, index, type(exc).__name__)).encode())
                 continue
             tally["mixtures"] += 1
@@ -230,14 +243,16 @@ def main(argv=None) -> int:
                         out, trace = reduce(m, target, kind, record_all_costs=True)
                     except np.linalg.LinAlgError as exc:
                         tally["errors"] += 1
-                        for digest in (core, decisions):
+                        for digest in (core, decisions, uncounted):
                             digest.update(repr((key, "LinAlgError", str(exc))).encode())
                         continue
                     tally["steps"] += len(trace.steps)
                     tally["flagged"] += sum(1 for s in trace.steps if s.flags)
                     tally["skipped"] += len(trace.skipped)
                     core.update(repr((key, _core_record(trace, out))).encode())
-                    decisions.update(repr((key, _decisions_record(trace, out), _skipped_record(trace))).encode())
+                    decided = _decisions_record(trace, out)
+                    decisions.update(repr((key, decided, _skipped_record(trace))).encode())
+                    uncounted.update(repr((key, _uncounted(decided), _skipped_record(trace))).encode())
                     skipped.update(repr((key, _skipped_record(trace))).encode())
                     if family == "degenerate":
                         tally["compared"] += 1
@@ -252,9 +267,12 @@ def main(argv=None) -> int:
     for index in range(PER_FAMILY):
         m = GaussianMixture.from_arrays(*_narrow_arrays(index))
         for kind in CostKind:
-            (fast_key, fast), (ref_key, ref) = (_engine_outcome(e, m, kind) for e in (reduce, reference_reduce))
+            (fast_key, fast, fast_uncounted), (ref_key, ref, ref_uncounted) = (
+                _engine_outcome(e, m, kind) for e in (reduce, reference_reduce)
+            )
             agreement["narrow"][kind] += fast_key == ref_key
             narrow.update(repr((index, kind.value, fast, ref)).encode())
+            uncounted.update(repr((index, kind.value, fast_uncounted, ref_uncounted)).encode())
     print(f"core       {core.hexdigest()}")
     print(f"decisions  {decisions.hexdigest()}")
     print(f"skipped    {skipped.hexdigest()}")
@@ -262,6 +280,7 @@ def main(argv=None) -> int:
     print(f"api        {api.hexdigest()}")
     print(f"switched   {switched.hexdigest()}")
     print(f"narrow     {narrow.hexdigest()}")
+    print(f"uncounted  {uncounted.hexdigest()}")
     print(
         f"{tally['mixtures']} mixtures, {tally['steps']} steps, {tally['flagged']} flagged, "
         f"{tally['errors']} all-degenerate errors, {tally['skipped']} skipped entries; "
