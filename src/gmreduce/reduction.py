@@ -12,8 +12,8 @@ and :mod:`gmreduce.costs`: a step hands them the index lists of all the pairs
 it needs and gets every value back from one stacked evaluation, never
 from a Python loop over pairs.  The engine's only state is a
 :class:`CostTable`: the current components, stacked in canonical order,
-and the statistics the divergence methods cache across steps, which are
-exactly the weight-independent part of each cost:
+and one block of the statistics the divergence methods cache across steps,
+which are exactly the weight-independent part of each cost:
 
 * divergences between existing components (the full pairwise matrix used
   by the refined prune cost),
@@ -28,7 +28,7 @@ touches one, one batch per statistic.  A build is a fill in which every
 component is fresh.  A step moves the table's components through the
 one prune/merge definition, :func:`gmreduce.mixture._apply`, which
 :func:`gmreduce.mixture.apply` uses too, and updates the table in place:
-row and column j of every cached matrix are deleted, a merge fills the
+row and column j of the one cache block are dropped, a merge fills the
 pairs of the merged component i with only i fresh, and every pair is
 repriced from the kernels under the renormalized weights in one
 elementwise expression over the whole matrix (+inf marks what is not a
@@ -122,34 +122,38 @@ def _bill(counter: EvalCounter | None, field: str, count: int) -> None:
         setattr(counter, field, getattr(counter, field) + count)
 
 
-# The counter field each method's merge kernel bills, two per pair.
-_KERNEL_FIELD = {CostKind.RUNNALLS_B: "kld", CostKind.ARKL_SIMPLE: "kld", CostKind.ARKL_FULL: "switched"}
+# Per method: the layers of its cache block (k_a, k_b, then D(q_a || q_b) for the
+# refined prune cost) and the counter field its merge kernels bill, two per pair.
+_CACHE = {
+    CostKind.WILLIAMS_ISE: (0, None),
+    CostKind.RUNNALLS_B: (2, "kld"),
+    CostKind.ARKL_SIMPLE: (2, "kld"),
+    CostKind.ARKL_FULL: (3, "switched"),
+}
 
 
 @dataclass(eq=False)
 class CostTable:
     """The whole state of the greedy engine: the current components and their costs.
 
-    ``arr`` holds the current components, at least two, in canonical order.  Prices,
-    recomputed at every step and ``None`` before the first:
-    ``pair_cost[i0, j0]`` (0-based, upper triangle, +inf elsewhere and
-    where the merge cannot be priced) is the cost of merging that pair,
-    ``prune_cost[j0]`` that of the prune (``None`` for the merge-only
-    method), and ``gram`` the overlap integrals of the squared-error
-    method.  Carried across steps: ``pairwise_kld[a, b]`` is D(component
-    a || component b) for the refined prune cost, and ``kernel_a``/``kernel_b``
-    the weight-independent merge kernels, +inf off the upper triangle and
-    where they cannot be evaluated.  :func:`update_cost_table` advances every field in place.
+    ``arr`` holds the current components, at least two, in canonical order.
+    ``cache`` holds every statistic carried across steps, one (n, n) layer
+    each, +inf wherever nothing is cached: the weight-independent merge
+    kernels k_a and k_b of the upper pairs (+inf also where they cannot be
+    evaluated), then for ``arkl`` D(component a || component b) for the
+    refined prune cost; the squared-error method's block has no layer.
+    Prices, recomputed at every step and ``None`` before the first:
+    ``pair_cost[i0, j0]`` (0-based, upper triangle, +inf elsewhere and where
+    the merge cannot be priced) is the cost of merging that pair, and
+    ``prune_cost[j0]`` that of the prune (``None`` for the merge-only method).
+    :func:`update_cost_table` advances every field in place.
     """
 
     kind: CostKind
     arr: ComponentArrays
+    cache: np.ndarray
     pair_cost: np.ndarray | None = None
     prune_cost: np.ndarray | None = None
-    pairwise_kld: np.ndarray | None = None
-    gram: np.ndarray | None = None
-    kernel_a: np.ndarray | None = None
-    kernel_b: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -157,33 +161,34 @@ class CostTable:
 
 
 def _fill(table: CostTable, fresh: np.ndarray, counter: EvalCounter | None) -> None:
-    """Evaluate every cached statistic of a pair touching a component in the mask ``fresh``.
+    """Evaluate every layer of the cache block at each pair touching a component in the mask ``fresh``.
 
-    One batch per statistic: ordered pairwise divergences and
-    upper-triangle merge kernels.  A pair whose kernels cannot be
-    evaluated gets +inf kernels, which price its merge at +inf.  Bills
-    one unit per divergence, two per pair with valid kernels.
+    One batch per statistic: upper-triangle merge kernels into layers 0
+    and 1, and for ``arkl`` ordered pairwise divergences into layer 2.  A
+    pair whose kernels cannot be evaluated gets +inf kernels, which price
+    its merge at +inf.  Bills one unit per divergence, two per pair with
+    valid kernels.
     """
-    if table.kernel_a is None:  # the squared-error method caches nothing
+    layers, field = _CACHE[table.kind]
+    if not layers:
         return
     arr = table.arr
     rows, cols = np.nonzero(fresh[:, None] | fresh)
-    if table.pairwise_kld is not None:
+    if layers == 3:
         a, b = rows[rows != cols], cols[rows != cols]
-        table.pairwise_kld[a, b] = _whitenings(arr.take(b), arr.take(a))[0][0]
+        table.cache[2, a, b] = _whitenings(arr.take(b), arr.take(a))[0][0]
         _bill(counter, "kld", a.size)
     i0, j0 = rows[rows < cols], cols[rows < cols]
     k_a, k_b, ok = _merge_kernels(table.kind, arr.take(i0), arr.take(j0))
-    table.kernel_a[i0, j0] = np.where(ok, k_a, np.inf)
-    table.kernel_b[i0, j0] = np.where(ok, k_b, np.inf)
-    _bill(counter, _KERNEL_FIELD[table.kind], 2 * int(np.count_nonzero(ok)))
+    table.cache[:2, i0, j0] = np.where(ok, (k_a, k_b), np.inf)
+    _bill(counter, field, 2 * int(np.count_nonzero(ok)))
 
 
 def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
     """Price every prune and every upper pair afresh under the current weights.
 
-    The divergence methods price the whole matrix from the cached
-    kernels.  The squared-error method evaluates the n (n + 1) / 2 Gram
+    The divergence methods price the whole matrix from the cache block.
+    The squared-error method evaluates the n (n + 1) / 2 Gram
     entries, every price +inf if one overflows, and else each candidate
     merge's overlaps with the n components, n + 1 per pair whose moment
     match succeeds; the others cost +inf.
@@ -192,23 +197,23 @@ def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
     n, w = len(arr), arr.weights
     if kind is CostKind.WILLIAMS_ISE:
         gi, gj = np.triu_indices(n)
-        gram, _, gram_ok = _overlap_solves(arr.take(gi), arr.take(gj))
+        upper, _, gram_ok = _overlap_solves(arr.take(gi), arr.take(gj))
         _bill(counter, "overlap", gi.size)
-        table.gram = np.empty((n, n))
-        table.gram[gi, gj] = table.gram[gj, gi] = gram
+        gram = np.empty((n, n))
+        gram[gi, gj] = gram[gj, gi] = upper
         table.pair_cost, table.prune_cost = np.full((n, n), np.inf), np.full(n, np.inf)
         if np.all(gram_ok):  # else the reference's Gram matrices raise for every hypothesis
-            s = table.gram @ w
-            table.prune_cost = _prune_ise(w, np.diagonal(table.gram), s, w @ s)
+            s = gram @ w
+            table.prune_cost = _prune_ise(w, np.diagonal(gram), s, w @ s)
             iu, ju = np.triu_indices(n, 1)
-            table.pair_cost[iu, ju], ok = _williams_merge_costs(arr, table.gram, iu, ju)
+            table.pair_cost[iu, ju], ok = _williams_merge_costs(arr, gram, iu, ju)
             _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
         return
-    table.pair_cost = _pair_costs(kind, w[:, None], w, table.kernel_a, table.kernel_b)
+    table.pair_cost = _pair_costs(kind, w[:, None], w, table.cache[0], table.cache[1])
     if kind is CostKind.ARKL_SIMPLE:
         table.prune_cost = _crude_prune(w)
     elif kind is CostKind.ARKL_FULL:
-        table.prune_cost = _arkl_prune_terms(w, table.pairwise_kld, np.arange(n)).min(axis=0)
+        table.prune_cost = _arkl_prune_terms(w, table.cache[2], np.arange(n)).min(axis=0)
 
 
 def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = None) -> None:
@@ -231,11 +236,7 @@ def build_cost_table(m: GaussianMixture, kind: CostKind, counter: EvalCounter | 
     _check_arguments(m, kind)
     _check_table_size(m.size)
     n = m.size
-    table = CostTable(kind, m._arr)
-    if kind is not CostKind.WILLIAMS_ISE:
-        table.kernel_a, table.kernel_b = np.full((n, n), np.inf), np.full((n, n), np.inf)
-    if kind is CostKind.ARKL_FULL:
-        table.pairwise_kld = np.zeros((n, n))
+    table = CostTable(kind, m._arr, np.full((_CACHE[kind][0], n, n), np.inf))
     _fill(table, np.ones(n, dtype=bool), counter)
     _refresh(table, counter)
     return table
@@ -245,18 +246,17 @@ def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounte
     """Advance a cost table in place across one applied hypothesis.
 
     The table's components move one step through :func:`mixture._apply`,
-    row and column j of every cached matrix are deleted, and a merge
-    refills the pairs of the merged component i (:func:`_fill` with only
-    i fresh).  Every other kernel and pairwise divergence is carried
-    over, and every price is recomputed.  A step that leaves one component,
-    or that :func:`mixture._apply` rejects, raises before the table changes.
+    row and column j are dropped from every layer of the cache block in
+    one gather, and a merge refills the pairs of the merged component i
+    (:func:`_fill` with only i fresh).  Every other cached statistic is
+    carried over bit for bit, and every price is recomputed.  A step that
+    leaves one component, or that :func:`mixture._apply` rejects, raises
+    before the table changes.
     """
     _check_table_size(table.size - 1)
     keep = np.arange(table.size) != applied.j - 1
     table.arr = mix._apply(table.arr, applied)
-    for name in ("pairwise_kld", "kernel_a", "kernel_b"):
-        if getattr(table, name) is not None:
-            setattr(table, name, getattr(table, name)[np.ix_(keep, keep)])
+    table.cache = table.cache[(slice(None), *np.ix_(keep, keep))]
     # A prune leaves no fresh component: skip the fill's scan of an empty mask.
     if isinstance(applied, Merge):
         _fill(table, np.arange(table.size) == applied.i - 1, counter)
@@ -314,6 +314,7 @@ def reduce(
     steps: list[TraceStep] = []
     per_step: list[int] = []
     skipped: list[tuple[int, Merge]] = []
+    evals_before = 0
     table = build_cost_table(m, kind, counter)
     while True:
         bad_i, bad_j = np.nonzero(table.pair_cost == np.inf)  # the lower triangle too
@@ -336,9 +337,10 @@ def reduce(
             all_costs.update(zip(map(Merge, (iu + 1).tolist(), (ju + 1).tolist()), table.pair_cost[iu, ju].tolist()))
         flags = ("negative_cost",) if cost < 0.0 else ()
         steps.append(TraceStep(chosen, cost, table.size - 1, flags, all_costs))
-        per_step.append(counter.total - sum(per_step))
+        per_step.append(counter.total - evals_before)
         if table.size - 1 == target:
             break
+        evals_before = counter.total
         update_cost_table(table, chosen, counter=counter)
     out = GaussianMixture._of(mix._apply(table.arr, chosen))
     return out, ReductionTrace(kind, tuple(steps), counter.total, tuple(per_step), tuple(skipped))
@@ -359,7 +361,7 @@ def _naive_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, counter: Eval
         # ise_analytic's three Gram matrices in full, against the n - 1 components left.
         _bill(counter, "overlap", n * n + (n - 1) ** 2 + n * (n - 1))
     elif isinstance(h, Merge):
-        _bill(counter, _KERNEL_FIELD[kind], 2)
+        _bill(counter, _CACHE[kind][1], 2)
     elif kind is CostKind.ARKL_FULL:
         _bill(counter, "kld", n - 1)
     return cost

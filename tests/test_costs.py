@@ -237,6 +237,16 @@ def test_arkl_prune_upper_bounds_true_divergence():
         assert exact <= arkl_prune_cost(m, j) + 1e-7
 
 
+def test_arkl_prune_cost_bounds_monte_carlo_divergence_in_higher_dimensions():
+    """Surrogate >= Monte Carlo reverse divergence of the renormalized prune, less four standard errors, for d = 2..4."""
+    rng = np.random.default_rng(900)
+    for trial in range(120):
+        m = random_mixture(rng, int(rng.integers(2, 6)), 2 + trial % 3)
+        j = int(rng.integers(1, m.size + 1))
+        est = mc_kld(apply(m, Prune(j)), m, 20_000, seed=trial)
+        assert arkl_prune_cost(m, j) >= est.value - 4.0 * est.std_error
+
+
 def test_switched_divergence_vanishes_on_identical_args():
     rng = np.random.default_rng(48)
     for dim in (1, 2, 3):

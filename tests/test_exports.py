@@ -6,6 +6,17 @@ import pytest
 
 import gmreduce
 
+# The modules whose exports the package re-exports, in the order that decides
+# which module owns a name: gauss's component densities before mixture's.
+SOURCES = (
+    "gmreduce.gauss",
+    "gmreduce.mixture",
+    "gmreduce.costs",
+    "gmreduce.reduction",
+    "gmreduce.quadrature",
+    "gmreduce.cluster",
+)
+
 MODULES = (
     "gmreduce",
     "gmreduce.cli",
@@ -32,3 +43,11 @@ def test_package_reexports_the_component_densities():
     # gmreduce.mixture exports densities of the same names for mixtures.
     assert gmreduce.log_pdf is gmreduce.gauss.log_pdf
     assert gmreduce.pdf is gmreduce.gauss.pdf
+
+
+def test_package_exports_what_its_modules_export():
+    sources = [importlib.import_module(name) for name in SOURCES]
+    assert set(gmreduce.__all__) == set().union(*(module.__all__ for module in sources))
+    for name in gmreduce.__all__:
+        owner = next(module for module in sources if name in module.__all__)
+        assert getattr(gmreduce, name) is getattr(owner, name), name

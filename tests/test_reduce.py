@@ -102,12 +102,35 @@ def test_update_table_matches_fresh_build(case):
     # A fresh build recomputes kernels from the renormalized weights,
     # which moves the merged moments by an ulp, so the match is
     # near-bitwise rather than exact.
-    for name in ("pair_cost", "prune_cost", "gram", "pairwise_kld"):
+    for name in ("pair_cost", "prune_cost", "cache"):
         got, wanted = getattr(updated, name), getattr(fresh, name)
         assert (got is None) == (wanted is None)
         if got is not None:
             assert np.allclose(got, wanted, rtol=1e-10, atol=1e-14)
     assert (updated.prune_cost is None) == (kind is CostKind.RUNNALLS_B)
+
+
+def test_update_carries_every_cached_statistic_bit_for_bit():
+    """A step drops row and column j from the cache block and changes no entry off the merged row and column."""
+    layers = {CostKind.ARKL_FULL: 3, CostKind.ARKL_SIMPLE: 2, CostKind.RUNNALLS_B: 2, CostKind.WILLIAMS_ISE: 0}
+    rng = np.random.default_rng(72)
+    for dim in (1, 2, 4, 8):
+        m = random_mixture(rng, 7, dim)
+        for kind in ALL_KINDS:
+            table = build_cost_table(m, kind)
+            while table.size > 2:
+                n = table.size
+                assert table.cache.shape == (layers[kind], n, n)
+                if kind.include_pruning and rng.random() < 0.5:
+                    h, kept = Prune(int(rng.integers(1, n + 1))), np.arange(n - 1)
+                else:
+                    j = int(rng.integers(2, n + 1))
+                    h = Merge(int(rng.integers(1, j)), j)
+                    kept = np.flatnonzero(np.arange(n - 1) != h.i - 1)
+                before = table.cache.copy()
+                update_cost_table(table, h)
+                dropped = np.delete(np.delete(before, h.j - 1, axis=1), h.j - 1, axis=2)
+                assert np.array_equal(table.cache[:, kept][:, :, kept], dropped[:, kept][:, :, kept])
 
 
 def test_cost_table_of_one_component_is_refused():
