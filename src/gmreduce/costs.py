@@ -251,11 +251,12 @@ def _arkl_exponents(
     # L at x = m_ab + L_ab y: const + slope^T y + y^T curv y / 2, y ~ N(0, I),
     # so Var L = |slope|^2 + |curv|_F^2 / 2.  A product overflows only where
     # a factor's square, and so a divergence, does; that row is flagged below.
+    # sd_full itself may overflow to +inf for a remote pair: the minimum below then reads sd_pooled.
     with np.errstate(over="ignore", invalid="ignore"):
         slope = np.sum(w_a * z_a[:, None], axis=0) - np.sum(w_b * z_b[:, None], axis=0)
         curv = np.sum(w_a[:, :, None] * w_a[:, None], axis=0) - np.sum(w_b[:, :, None] * w_b[:, None], axis=0)
-    terms = np.concatenate([slope, curv.reshape(-1, slope.shape[1]) * math.sqrt(0.5)])
-    sd_full = np.hypot.reduce(terms, axis=0)
+        terms = np.concatenate([slope, curv.reshape(-1, slope.shape[1]) * math.sqrt(0.5)])
+        sd_full = np.hypot.reduce(terms, axis=0)
     pa = a.weights / merged.weights
     pb = b.weights / merged.weights
     pooled, _, pooled_ok = _cholesky(pa[:, None, None] * a.covs + pb[:, None, None] * b.covs)
@@ -466,33 +467,42 @@ def _prune_ise(w_j, g_jj, s_j, t):
     return c * c * (g_jj - 2.0 * s_j + t)
 
 
+_ROWS = 2048  # (component, candidate) rows per stacked call of _williams_merge_costs
+
+
 def _williams_merge_costs(
     arr: ComponentArrays, gram: np.ndarray, i0: np.ndarray, j0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_merge_ise` of each (i0[p], j0[p]) merge of the mixture, and a flag per pair.
 
     Each candidate's overlaps with the current components are evaluated
-    in one stacked call per component, so memory stays proportional to
-    the number of pairs.  The cost reads those with the pair's own
-    components.  A pair whose moment match fails or one of whose overlaps
-    overflows is flagged False and costs +inf, as in the reference engine.
-    Costs n + 1 overlaps per pair whose moment match succeeds.
+    one block of components per stacked call of at most ``_ROWS`` rows, so
+    memory stays proportional to the number of pairs.  The cost reads
+    those with the pair's own components.  A pair whose moment match fails
+    or one of whose overlaps overflows is flagged False and costs +inf, as
+    in the reference engine.  Costs n + 1 overlaps per pair whose moment
+    match succeeds.
     """
-    w = arr.weights
+    w, n = arr.weights, len(arr)
     merged, ok = _moment_match(arr.take(i0), arr.take(j0))
-    cand = merged.take(ok)
-    i0, j0 = i0[ok], j0[ok]
-    u_i, u_j = np.empty((2, len(cand)))
+    cand, i0, j0 = merged.take(ok), i0[ok], j0[ok]
+    p = len(cand)
     u_mm, _, valid = _overlap_solves(cand, cand)
-    for k in range(len(arr)):
-        u, _, valid_k = _overlap_solves(arr.take([k]), cand)
-        valid &= valid_k
-        at_i, at_j = i0 == k, j0 == k
-        u_i[at_i] = u[at_i]
-        u_j[at_j] = u[at_j]
+    # U_mi, then U_mj, read block by block: ``order`` groups them by component.
+    own, u_own = np.concatenate([i0, j0]), np.empty(2 * p)
+    order = np.argsort(own, kind="stable")
+    edges = list(range(0, n, max(1, _ROWS // max(p, 1)))) + [n]
+    cuts = np.searchsorted(own[order], edges)
+    for b, (k0, k1) in enumerate(zip(edges, edges[1:])):
+        one = k1 - k0 == 1  # one component broadcasts against the candidates: no gather
+        a = arr.take(slice(k0, k1) if one else np.arange(k0, k1).repeat(p))
+        u, _, valid_k = _overlap_solves(a, cand if one else cand.take(np.tile(np.arange(p), k1 - k0)))
+        valid &= valid_k.reshape(k1 - k0, p).all(axis=0)
+        at = order[cuts[b] : cuts[b + 1]]
+        u_own[at] = u.reshape(k1 - k0, p)[own[at] - k0, at % p]
     costs = np.full(len(ok), np.inf)
     ok[ok] = valid
-    costs[ok] = _merge_ise(w[i0], w[j0], gram[i0, i0], gram[j0, j0], gram[i0, j0], u_i, u_j, u_mm)[valid]
+    costs[ok] = _merge_ise(w[i0], w[j0], gram[i0, i0], gram[j0, j0], gram[i0, j0], u_own[:p], u_own[p:], u_mm)[valid]
     return costs, ok
 
 

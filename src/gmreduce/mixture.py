@@ -202,7 +202,7 @@ def _apply(arr: ComponentArrays, h: Hypothesis) -> ComponentArrays:
     _check_hypothesis(arr, h)
     out = arr.take(np.arange(len(arr)) != h.j - 1)
     if isinstance(h, Merge):
-        merged = _checked_merge(arr.take([h.i - 1]), arr.take([h.j - 1]))
+        merged = _checked_merge(arr.take(slice(h.i - 1, h.i)), arr.take(slice(h.j - 1, h.j)))
         for f in fields(out):
             getattr(out, f.name)[h.i - 1] = getattr(merged, f.name)[0]
     return replace(out, weights=out.weights / out.weights.sum())

@@ -38,8 +38,8 @@ for a full N -> 1 reduction.  The squared-error method evaluates the
 Gram matrix of the current components and every candidate merge's
 overlaps with all of them each step (a cost reads three, but any may
 overflow): O(N^3) evaluations per step instead of the O(N^4) of a
-from-scratch evaluation, the candidates' done as one stacked call per
-component so that memory stays proportional to the number of pairs.
+from-scratch evaluation, the candidates' done one block of components
+per stacked call so that memory stays proportional to the number of pairs.
 
 A merge candidate whose moment match overflows or fails to factorize, or
 whose merge exponents are not finite, gets +inf kernels and so +inf
@@ -205,7 +205,7 @@ def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
         if np.all(gram_ok):  # else the reference's Gram matrices raise for every hypothesis
             s = gram @ w
             table.prune_cost = _prune_ise(w, np.diagonal(gram), s, w @ s)
-            iu, ju = np.triu_indices(n, 1)
+            iu, ju = gi[gi < gj], gj[gi < gj]
             table.pair_cost[iu, ju], ok = _williams_merge_costs(arr, gram, iu, ju)
             _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
         return
@@ -246,17 +246,19 @@ def update_cost_table(table: CostTable, applied: Hypothesis, counter: EvalCounte
     """Advance a cost table in place across one applied hypothesis.
 
     The table's components move one step through :func:`mixture._apply`,
-    row and column j are dropped from every layer of the cache block in
-    one gather, and a merge refills the pairs of the merged component i
-    (:func:`_fill` with only i fresh).  Every other cached statistic is
-    carried over bit for bit, and every price is recomputed.  A step that
-    leaves one component, or that :func:`mixture._apply` rejects, raises
-    before the table changes.
+    row and column j are dropped in place from every layer of the cache
+    block, which becomes a view of its first n - 1 rows and columns, and a
+    merge refills the pairs of the merged component i (:func:`_fill` with
+    only i fresh).  Every other cached statistic is carried over bit for
+    bit, and every price is recomputed.  A step that leaves one component,
+    or that :func:`mixture._apply` rejects, raises before the table changes.
     """
     _check_table_size(table.size - 1)
-    keep = np.arange(table.size) != applied.j - 1
     table.arr = mix._apply(table.arr, applied)
-    table.cache = table.cache[(slice(None), *np.ix_(keep, keep))]
+    c, j = table.cache, applied.j - 1
+    c[:, j:-1] = c[:, j + 1 :]
+    c[:, :, j:-1] = c[:, :, j + 1 :]
+    table.cache = c[:, :-1, :-1]
     # A prune leaves no fresh component: skip the fill's scan of an empty mask.
     if isinstance(applied, Merge):
         _fill(table, np.arange(table.size) == applied.i - 1, counter)

@@ -24,6 +24,7 @@ from gmreduce import (
     reference_reduce,
     update_cost_table,
 )
+from gmreduce import costs
 from gmreduce.costs import _merge_kernels
 from gmreduce.gauss import ComponentArrays, _moment_match
 
@@ -111,7 +112,10 @@ def test_update_table_matches_fresh_build(case):
 
 
 def test_update_carries_every_cached_statistic_bit_for_bit():
-    """A step drops row and column j from the cache block and changes no entry off the merged row and column."""
+    """A step drops row and column j from the cache block and changes no entry off the merged row and column.
+
+    The first two steps drop the first index a method can drop and the last one, the edges of the drop.
+    """
     layers = {CostKind.ARKL_FULL: 3, CostKind.ARKL_SIMPLE: 2, CostKind.RUNNALLS_B: 2, CostKind.WILLIAMS_ISE: 0}
     rng = np.random.default_rng(72)
     for dim in (1, 2, 4, 8):
@@ -121,12 +125,16 @@ def test_update_carries_every_cached_statistic_bit_for_bit():
             while table.size > 2:
                 n = table.size
                 assert table.cache.shape == (layers[kind], n, n)
-                if kind.include_pruning and rng.random() < 0.5:
-                    h, kept = Prune(int(rng.integers(1, n + 1))), np.arange(n - 1)
+                if n == m.size:
+                    h = Prune(1) if kind.include_pruning else Merge(1, 2)
+                elif n == m.size - 1:
+                    h = Merge(1, n)
+                elif kind.include_pruning and rng.random() < 0.5:
+                    h = Prune(int(rng.integers(1, n + 1)))
                 else:
                     j = int(rng.integers(2, n + 1))
                     h = Merge(int(rng.integers(1, j)), j)
-                    kept = np.flatnonzero(np.arange(n - 1) != h.i - 1)
+                kept = np.flatnonzero(np.arange(n - 1) != (h.i - 1 if isinstance(h, Merge) else -1))
                 before = table.cache.copy()
                 update_cost_table(table, h)
                 dropped = np.delete(np.delete(before, h.j - 1, axis=1), h.j - 1, axis=2)
@@ -151,6 +159,21 @@ def test_cost_table_of_one_component_is_refused():
                     update_cost_table(table, h)
                 assert all(getattr(table, name) is v for name, v in before.items())
                 assert all(np.array_equal(getattr(table, name), v) for name, v in copies.items())
+
+
+def test_williams_prices_equal_hypothesis_cost_across_overlap_blocks():
+    """At n = 20 a candidate's overlaps span more than one block of components; built and stepped, the table prices
+    every prune and merge as :func:`hypothesis_cost` does, bit for bit."""
+    kind = CostKind.WILLIAMS_ISE
+    m = random_mixture(np.random.default_rng(74), 20, 2)
+    assert costs._ROWS // (20 * 19 // 2) < 20
+    table = build_cost_table(m, kind)
+    for h in (None, Merge(4, 20)):
+        if h is not None:
+            update_cost_table(table, h)
+            m = apply(m, h)
+        want = [hypothesis_cost(m, hyp, kind) for hyp in enumerate_hypotheses(m)]
+        assert table.prune_cost.tolist() + table.pair_cost[np.triu_indices(m.size, 1)].tolist() == want
 
 
 def test_a_williams_gram_entry_that_overflows_prices_every_hypothesis_inf():
@@ -226,6 +249,14 @@ def test_a_merge_preserves_the_mixture_mean_and_covariance(m):
 
 
 @settings(max_examples=100, deadline=None)
+@example(  # the full spread of L overflows for the pairs of the remote component
+    GaussianMixture.from_arrays(
+        [0.2] * 5,
+        [[-4.59026476], [4.12755577], [0.43624991], [-4.972615], [2.29655446]],
+        [[[0.119990498]], [[17.9093967]], [[8.27915939]], [[18.3406286]], [[0.0136251817]]],
+    ),
+    153.46875,
+)
 @given(_ill_conditioned_mixtures(), st.floats(0.0, 200.0))
 def test_every_merge_the_kernels_flag_valid_applies(m, log_shift):
     """The last component is moved 10^log_shift away, so separations reach the overflow path.
@@ -352,14 +383,16 @@ def test_degenerate_merge_is_skipped_and_recorded():
             GaussianComponent(0.5, [1e200], [[1.0]]),
         )
     )
-    out, trace = reduce(m, 1, CostKind.ARKL_FULL)
-    assert trace.steps[0].chosen == Prune(1)
-    assert trace.skipped == ((0, Merge(1, 2)),)
-    assert out.size == 1
-    ref_out, ref_trace = reference_reduce(m, 1, CostKind.ARKL_FULL)
-    assert ref_trace.steps[0].chosen == Prune(1)
-    assert ref_trace.skipped == ((0, Merge(1, 2)),)
-    assert _mixtures_equal(out, ref_out)
+    # The only merge has no moment match, so ``williams`` prices no candidate's overlaps.
+    for kind in (CostKind.ARKL_FULL, CostKind.WILLIAMS_ISE):
+        out, trace = reduce(m, 1, kind)
+        assert trace.steps[0].chosen == Prune(1)
+        assert trace.skipped == ((0, Merge(1, 2)),)
+        assert out.size == 1
+        ref_out, ref_trace = reference_reduce(m, 1, kind)
+        assert ref_trace.steps[0].chosen == Prune(1)
+        assert ref_trace.skipped == ((0, Merge(1, 2)),)
+        assert _mixtures_equal(out, ref_out)
     # The merge-only method has nowhere to go.
     with pytest.raises(np.linalg.LinAlgError):
         reduce(m, 1, CostKind.RUNNALLS_B)
