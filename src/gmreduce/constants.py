@@ -11,12 +11,8 @@ factorizes it, given finite entries (``gauss._cholesky``).
 SYMMETRY_RTOL = 1e-12
 
 # Mixture weights must sum to 1 within this absolute tolerance to count
-# as normalized.
+# as normalized, and a single weight may exceed 1 by at most this much.
 WEIGHT_SUM_ATOL = 1e-9
-
-# A single weight may exceed 1 by at most this much (guards against
-# accumulated renormalization drift, not against bad input).
-WEIGHT_EXCESS_ATOL = 1e-9
 
 # The CLI is more forgiving than the library: weight sums within this
 # tolerance of 1 are renormalized with a warning instead of rejected,

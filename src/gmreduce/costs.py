@@ -49,7 +49,6 @@ from .gauss import (
     GaussianComponent,
     _cholesky,
     _expected_log,
-    _mergeable,
     _moment_match,
     _overlap_solves,
     _overlaps,
@@ -163,7 +162,7 @@ def ise_analytic(p: GaussianMixture, q: GaussianMixture) -> float:
     term of ``q``, and the cross term.  The result is a true squared
     L2 distance, zero iff the mixtures represent the same density.
     """
-    pa, qa = _pair_arrays(p, q)
+    pa, qa = _pair_arrays(p, q, GaussianMixture)
     wp, wq = pa.weights, qa.weights
     gpp = _overlap_matrix(pa, pa)
     gqq = _overlap_matrix(qa, qa)
@@ -182,7 +181,7 @@ def mc_kld(from_: GaussianMixture, to: GaussianMixture, n: int, seed) -> Diverge
     """
     if not mix._is_integer(n) or n < 1000:
         raise ValueError(f"n must be an integer of at least 1000 for a usable error estimate, got {n!r}")
-    _pair_arrays(from_, to)  # checks the dimensions
+    _pair_arrays(from_, to, GaussianMixture)  # checks the types and dimensions
     pts = mix.sample(from_, n, seed)
     lf = mix.log_pdf(from_, pts)
     lt = mix.log_pdf(to, pts)
@@ -323,7 +322,7 @@ def runnalls_bound(a: GaussianComponent, b: GaussianComponent) -> float:
     B = w_a D(q_a || q_ab) + w_b D(q_b || q_ab) with q_ab the
     moment-matched merge.  Scales linearly with the absolute weights.
     """
-    return _merge_cost(CostKind.RUNNALLS_B, *_mergeable(a, b))
+    return _merge_cost(CostKind.RUNNALLS_B, *_pair_arrays(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +390,7 @@ def simple_merge_bound(a: GaussianComponent, b: GaussianComponent) -> float:
     growing with the separation and soon exceeds the cost of pruning
     either component outright.
     """
-    return _merge_cost(CostKind.ARKL_SIMPLE, *_mergeable(a, b))
+    return _merge_cost(CostKind.ARKL_SIMPLE, *_pair_arrays(a, b))
 
 
 def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianComponent) -> float:
@@ -405,7 +404,8 @@ def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianC
     from it, so V discounts exactly the region where q_i would cover for
     q_j.  Assembled from the product decomposition q_i q_k = scale * q*,
     the expected logs of q_k and q_j under q*, and the plain divergence
-    D(q_k || q_j).  Unlike a true divergence it may be negative.
+    D(q_k || q_j).  Unlike a true divergence it may be negative.  It is
+    D(q_k || q_j) where q_i's overlap with q_k underflows, and +inf where that is.
 
     q* enters only through its moments, so its covariance -- a
     difference of matrices that need not factorize when q_k is nearly
@@ -417,10 +417,13 @@ def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianC
     pd, sol = _product(i, k, i._arr.chols, k._arr.chols)
     # (2 pi)^(k/2) |cov_i|^(1/2) N(mean_i; mean_k, cov_k + cov_i), in [0, 1]
     ratio = pd.scale / max_value(i)
+    div = kld_gauss(k, j)
+    if ratio == 0.0 or div == np.inf:
+        return div
     w_i, w_k, z = sol[:, : k.dim], sol[:, k.dim : -1], sol[:, -1]
     elog_k = -0.5 * (k.dim * _LOG_2PI + k.log_det + float(np.sum(w_i * w_i)) + float(np.sum(np.square(z @ w_k))))
     elog_j = _expected_log(pd.mean_star, pd.cov_star, j)
-    return kld_gauss(k, j) - ratio * (elog_k - elog_j)
+    return div - ratio * (elog_k - elog_j)
 
 
 def arkl_merge_cost(a: GaussianComponent, b: GaussianComponent) -> float:
@@ -442,7 +445,7 @@ def arkl_merge_cost(a: GaussianComponent, b: GaussianComponent) -> float:
     as the squared separation.  When the covariances differ it is an
     approximation with no sign guarantee.
     """
-    return _merge_cost(CostKind.ARKL_FULL, *_mergeable(a, b))
+    return _merge_cost(CostKind.ARKL_FULL, *_pair_arrays(a, b))
 
 
 # ---------------------------------------------------------------------------

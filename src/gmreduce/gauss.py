@@ -13,13 +13,12 @@ holds many components as arrays, and the private stacked kernels here
 whitened frame, the overlap and the moment match) evaluate every row of
 such a stack in one pass of numpy calls.  Each statistic has one kernel;
 the overlap and the moment match each have one checked form that raises
-where a row fails (:func:`_overlaps`, :func:`_checked_merge`), and
-:func:`_mergeable` refuses a pair without weight.  :func:`kld_gauss`,
-:func:`product_decompose`, :func:`moment_match_merge` and the density
-functions are batches of one over them, and :mod:`gmreduce.costs` builds
-the cost kernels of the reduction engines on them.  Components
-and mixtures wrap read-only stacks, which :func:`_stack` validates whole,
-so a kernel's output is wrapped without a second check.  The kernels put
+where a row fails (:func:`_overlaps`, :func:`_checked_merge`).
+:func:`kld_gauss`, :func:`product_decompose`, :func:`moment_match_merge`
+and the density functions are batches of one over them, and
+:mod:`gmreduce.costs` builds the cost kernels of the reduction engines on
+them.  Components and mixtures wrap read-only stacks, which :func:`_stack`
+validates whole, every weight positive (:func:`_check_weights`).  The kernels put
 the pair axis last, so each numpy call is one long loop, and their sums
 over the k and k^2 axes do not depend on the batch length.  One more stacked
 kernel gives the (component, point) weighted log densities, one product
@@ -42,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .constants import SYMMETRY_RTOL, WEIGHT_EXCESS_ATOL
+from .constants import SYMMETRY_RTOL, WEIGHT_SUM_ATOL
 
 __all__ = [
     "GaussianComponent",
@@ -63,13 +62,13 @@ _EXP_FLOOR = -700.0  # e^-700 is about 1e-304, still a normal double (see _exp_f
 
 
 def _check_weights(weights) -> np.ndarray:
-    """A new non-empty 1-D float array of the weights, each in [0, 1] up to WEIGHT_EXCESS_ATOL."""
+    """The one weight rule: a new non-empty 1-D float array, each weight in (0, 1] up to WEIGHT_SUM_ATOL."""
     weights = np.array(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
         raise ValueError(f"weights must be a non-empty 1-D vector, got shape {weights.shape}")
-    bad = ~((weights >= 0.0) & (weights <= 1.0 + WEIGHT_EXCESS_ATOL))  # NaN fails both
-    if bad.any():
-        raise ValueError(f"weight must be finite, nonnegative and at most 1, got {weights[bad][0]}")
+    bad = np.flatnonzero(~((weights > 0.0) & (weights <= 1.0 + WEIGHT_SUM_ATOL)))  # NaN fails both
+    if bad.size:
+        raise ValueError(f"component {bad[0] + 1} weight must be finite, positive and at most 1, got {weights[bad[0]]}")
     return weights
 
 
@@ -80,8 +79,7 @@ class GaussianComponent:
     Parameters
     ----------
     weight : float
-        Nonnegative mixture weight.  Mixtures additionally require
-        strictly positive weights; a bare component may carry weight 0.
+        Mixture weight in (0, 1], as every weight is (:func:`_check_weights`).
     mean : array_like, shape (k,)
     cov : array_like, shape (k, k)
         Symmetric positive definite covariance.  Positive definiteness
@@ -136,12 +134,7 @@ class GaussianComponent:
         return self._arr.chols[0]
 
     def with_weight(self, weight: float) -> "GaussianComponent":
-        """Same density, different weight.
-
-        Only the new weight is validated: the read-only mean, covariance
-        and Cholesky factor are shared with ``self``, not re-checked or
-        re-factorized.
-        """
+        """Same density, different weight: only the weight is checked, and the factorized rows are shared."""
         return type(self)._of(replace(self._arr, weights=_check_weights((weight,))))
 
     def __repr__(self) -> str:
@@ -322,10 +315,10 @@ def _centered_log_pdfs(arr: ComponentArrays, centered: np.ndarray, work=None, ou
     adds log w_p - 1/2 (k log 2 pi + log |S_p| + |z|^2).  Centring first
     keeps the digits that L_p^-1 x_i - L_p^-1 m_p would cancel near a
     thin component.  ``work`` (P, k, n) and ``out`` are optional buffers.
-    A zero weight gives a row of -inf, and an overflowing |z|^2 an entry.
+    An overflowing |z|^2 gives an entry of -inf.
     """
     p, k, _ = centered.shape
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         # A contiguous operand keeps matmul on its BLAS path.
         inv = np.ascontiguousarray(_solve_lower(arr.chols, np.broadcast_to(np.eye(k), (p, k, k))))
         z = np.matmul(inv, centered, out=work)
@@ -373,12 +366,12 @@ def _moment_match(a: ComponentArrays, b: ComponentArrays) -> tuple[ComponentArra
     Each merge carries the pair's total weight, its weighted mean, and
     its weighted covariance plus the spread term between the means (see
     :func:`moment_match_merge`).  The spread term overflows for extreme
-    separations and a zero total weight gives NaN: a row whose moments
-    are not finite or whose covariance fails to factorize is flagged
-    False and holds NaN factors; the other rows are unaffected.
+    separations: a row whose moments are not finite or whose covariance
+    fails to factorize is flagged False and holds NaN factors; the other
+    rows are unaffected.
     """
     total = a.weights + b.weights
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         pa = a.weights / total
         pb = b.weights / total
         mean = pa[:, None] * a.means + pb[:, None] * b.means
@@ -416,18 +409,13 @@ class ProductDecomposition:
     cov_star: np.ndarray
 
 
-def _pair_arrays(a, b) -> tuple[ComponentArrays, ComponentArrays]:
-    """The ``._arr`` stacks of two components or two mixtures, after the one check that their ``.dim`` match."""
+def _pair_arrays(a, b, cls=GaussianComponent) -> tuple[ComponentArrays, ComponentArrays]:
+    """The ``._arr`` stacks of a pair, after the one check that both are ``cls`` instances of one ``.dim``."""
+    if not (isinstance(a, cls) and isinstance(b, cls)):
+        raise ValueError(f"expected two {cls.__name__} arguments, got {type(a).__name__} and {type(b).__name__}")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return a._arr, b._arr
-
-
-def _mergeable(a, b) -> tuple[ComponentArrays, ComponentArrays]:
-    """:func:`_pair_arrays` of two components, after the one check that the pair carries weight to merge."""
-    if a.weight + b.weight <= 0.0:
-        raise ValueError("cannot merge a pair with zero total weight")
-    return _pair_arrays(a, b)
 
 
 def _points(x, k: int) -> np.ndarray:
@@ -503,8 +491,9 @@ def expected_log(under: GaussianComponent, of: GaussianComponent) -> float:
     Equals -1/2 log|2 pi S_of| - 1/2 tr[ S_of^-1 (S_under + d d^T) ]
     with d the difference of means.
     """
-    _pair_arrays(under, of)  # checks the dimensions
-    return _expected_log(under.mean, under.cov, of)
+    _pair_arrays(under, of)  # checks the types and dimensions
+    with np.errstate(over="ignore"):  # a remote pair gives -inf, as kld_gauss gives +inf
+        return _expected_log(under.mean, under.cov, of)
 
 
 def _expected_log(mean: np.ndarray, cov: np.ndarray, of: GaussianComponent) -> float:
@@ -539,5 +528,6 @@ def moment_match_merge(a: GaussianComponent, b: GaussianComponent) -> GaussianCo
     applies every merge; the cost kernels price merges from the same
     :func:`_moment_match`.
     """
-    _check_weights((a.weight + b.weight,))
-    return GaussianComponent._of(_checked_merge(*_mergeable(a, b)))
+    merged = _checked_merge(*_pair_arrays(a, b))
+    _check_weights(merged.weights)
+    return GaussianComponent._of(merged)

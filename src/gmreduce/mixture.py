@@ -18,8 +18,8 @@ from typing import Union
 import numpy as np
 
 from .constants import WEIGHT_SUM_ATOL
-from .gauss import ComponentArrays, GaussianComponent, _centered_log_pdfs, _checked_merge, _frozen, _log_sum_exp
-from .gauss import _points, _stack
+from .gauss import ComponentArrays, GaussianComponent, _centered_log_pdfs, _check_weights, _checked_merge, _frozen
+from .gauss import _log_sum_exp, _points, _stack
 from .gauss import moment_match_merge  # noqa: F401 -- kept importable here for call tracers
 
 __all__ = [
@@ -91,9 +91,8 @@ class GaussianMixture:
 
     @classmethod
     def _of(cls, arr: ComponentArrays) -> "GaussianMixture":
-        """Wrap a validated and factorized stack, marked read-only: the one check that the weights are positive."""
-        if arr.weights.min() <= 0.0:
-            raise ValueError(f"component {arr.weights.argmin() + 1} weight must be positive, got {arr.weights.min()}")
+        """Wrap a factorized stack, marked read-only, after the weight rule (:func:`~gmreduce.gauss._check_weights`)."""
+        _check_weights(arr.weights)
         m = object.__new__(cls)
         object.__setattr__(m, "_arr", _frozen(arr))
         return m
@@ -139,6 +138,11 @@ def _require_normalized(m: GaussianMixture):
         raise ValueError(f"mixture weights sum to {float(m.weights.sum()):.12g}, expected 1 within {WEIGHT_SUM_ATOL}")
 
 
+def _carries_all_mass(w):
+    """The prune rule, elementwise: a prune of weight ``w`` leaves no mass, 1 - w <= 0, which is w >= 1 in floats."""
+    return w >= 1.0
+
+
 def _check_hypothesis(arr: ComponentArrays, h) -> None:
     """The one check of a step on ``arr``: prune or merge, 1-based indices in range, and mass left after a prune."""
     if not isinstance(h, (Prune, Merge)):
@@ -149,7 +153,7 @@ def _check_hypothesis(arr: ComponentArrays, h) -> None:
             raise ValueError(f"{name} index {idx} out of range for mixture of size {len(arr)} (indices are 1-based)")
     if isinstance(h, Prune) and len(arr) == 1:
         raise ValueError("cannot prune the only component")
-    if isinstance(h, Prune) and 1.0 - arr.weights[h.j - 1] <= 0.0:
+    if isinstance(h, Prune) and _carries_all_mass(arr.weights[h.j - 1]):
         raise ValueError(f"cannot prune component {h.j}: it carries all of the mass")
 
 

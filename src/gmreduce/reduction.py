@@ -191,7 +191,7 @@ def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
     The squared-error method evaluates the n (n + 1) / 2 Gram
     entries, every price +inf if one overflows, and else each candidate
     merge's overlaps with the n components, n + 1 per pair whose moment
-    match succeeds; the others cost +inf.
+    match succeeds; the others cost +inf, as does a prune of all of the mass.
     """
     kind, arr = table.kind, table.arr
     n, w = len(arr), arr.weights
@@ -204,25 +204,29 @@ def _refresh(table: CostTable, counter: EvalCounter | None) -> None:
         table.pair_cost, table.prune_cost = np.full((n, n), np.inf), np.full(n, np.inf)
         if np.all(gram_ok):  # else the reference's Gram matrices raise for every hypothesis
             s = gram @ w
-            table.prune_cost = _prune_ise(w, np.diagonal(gram), s, w @ s)
+            with np.errstate(divide="ignore", invalid="ignore"):  # 1 - w = 0, masked below
+                table.prune_cost = _prune_ise(w, np.diagonal(gram), s, w @ s)
             iu, ju = gi[gi < gj], gj[gi < gj]
             table.pair_cost[iu, ju], ok = _williams_merge_costs(arr, gram, iu, ju)
             _bill(counter, "overlap", (n + 1) * int(np.count_nonzero(ok)))
-        return
-    table.pair_cost = _pair_costs(kind, w[:, None], w, table.cache[0], table.cache[1])
-    if kind is CostKind.ARKL_SIMPLE:
-        table.prune_cost = _crude_prune(w)
-    elif kind is CostKind.ARKL_FULL:
-        table.prune_cost = _arkl_prune_terms(w, table.cache[2], np.arange(n)).min(axis=0)
+    else:
+        table.pair_cost = _pair_costs(kind, w[:, None], w, table.cache[0], table.cache[1])
+        if kind is CostKind.RUNNALLS_B:
+            return
+        with np.errstate(divide="ignore", invalid="ignore"):  # 1 - w = 0, masked below
+            if kind is CostKind.ARKL_SIMPLE:
+                table.prune_cost = _crude_prune(w)
+            else:
+                table.prune_cost = _arkl_prune_terms(w, table.cache[2], np.arange(n)).min(axis=0)
+    table.prune_cost[mix._carries_all_mass(w)] = np.inf
 
 
 def _check_arguments(m: GaussianMixture, kind: CostKind, target: int | None = None) -> None:
-    """The argument checks of both engines; the target is checked only when given."""
+    """The argument checks of both engines and cost tables; the target is checked only when given."""
     _check_kind(kind)
     if target is not None and not (mix._is_integer(target) and 1 <= target <= m.size):
         raise ValueError(f"target must be an integer in [1, {m.size}], got {target!r}")
-    if target is not None:
-        mix._require_normalized(m)
+    mix._require_normalized(m)
 
 
 def _check_table_size(n: int) -> None:
@@ -352,9 +356,11 @@ def _naive_cost(m: GaussianMixture, h: Hypothesis, kind: CostKind, counter: Eval
     """From-scratch :func:`hypothesis_cost` of one hypothesis, counting every evaluation.
 
     Costs agree with the cached engine bit for bit wherever the inputs
-    do.  A degenerate merge costs +inf, unbilled.
+    do.  A degenerate merge or a prune of all of the mass costs +inf, unbilled.
     """
     n = m.size
+    if isinstance(h, Prune) and mix._carries_all_mass(m._arr.weights[h.j - 1]):
+        return np.inf
     try:
         cost = hypothesis_cost(m, h, kind)
     except np.linalg.LinAlgError:

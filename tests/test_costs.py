@@ -1,6 +1,7 @@
 """Cost surrogates, bounds and divergence estimators against oracles."""
 
 import math
+import warnings
 from dataclasses import fields
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from gmreduce import (
     arkl_prune_cost,
     build_cost_table,
     crude_prune_bound,
+    expected_log,
     gaussian_overlap,
     hypothesis_cost,
     ise_analytic,
@@ -59,10 +61,34 @@ def test_runnalls_bound_scales_with_weights():
     a, b = _pair()
     half = runnalls_bound(a.with_weight(0.25), b.with_weight(0.25))
     assert abs(half - 0.5 * runnalls_bound(a, b)) < 1e-12
-    # One message for a weightless pair from every scalar merge.
-    for merge in (runnalls_bound, simple_merge_bound, arkl_merge_cost, moment_match_merge):
-        with pytest.raises(ValueError, match="cannot merge a pair with zero total weight"):
-            merge(a.with_weight(0.0), b.with_weight(0.0))
+    # No scalar merge meets a weightless pair: a zero weight is refused at construction.
+    with pytest.raises(ValueError, match="component 1 weight must be finite, positive and at most 1, got 0.0"):
+        a.with_weight(0.0)
+
+
+def test_pair_functions_check_the_type_of_each_argument():
+    """The component functions refuse a mixture, and the mixture divergences a component, each with one message."""
+    m = GaussianMixture.from_arrays([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    c = m.components[0]
+    pairs = (
+        kld_gauss,
+        gaussian_overlap,
+        product_decompose,
+        expected_log,
+        runnalls_bound,
+        simple_merge_bound,
+        arkl_merge_cost,
+        moment_match_merge,
+    )
+    for fn, args in [(fn, args) for fn in pairs for args in ((m, m), (c, m), (m, c))] + [
+        (switched_divergence, args) for args in ((m, c, c), (c, m, c), (c, c, m))
+    ]:
+        with pytest.raises(ValueError, match="expected two GaussianComponent arguments"):
+            fn(*args)
+    for args in ((c, c), (m, c), (c, m)):
+        for fn, rest in ((ise_analytic, ()), (mc_kld, (1000, 0))):
+            with pytest.raises(ValueError, match="expected two GaussianMixture arguments"):
+                fn(*args, *rest)
 
 
 def test_simple_merge_bound_worked_value():
@@ -252,6 +278,31 @@ def test_switched_divergence_vanishes_on_identical_args():
     for dim in (1, 2, 3):
         q = random_component(rng, dim)
         assert abs(switched_divergence(q, q, q)) < 1e-12
+
+
+def test_switched_divergence_of_a_remote_component_is_its_limit():
+    """A component moved far away gives the limits, not NaN: D(q_k || q_j) once the switch underflows, +inf with D."""
+    a = GaussianComponent(0.5, [0.0], [[1.0]])
+    b = GaussianComponent(0.5, [1.0], [[2.0]])
+    seps = (10.0, 40.0, 1e3, 1e20, 1e160, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = GaussianComponent(0.5, [1e200], [[1.0]])
+        assert switched_divergence(a, far, b) == kld_gauss(a, b)
+        assert switched_divergence(far, a, b) == np.inf
+        assert switched_divergence(b, a, far) == np.inf
+        assert expected_log(a, far) == -np.inf
+        rows = np.array(
+            [
+                [switched_divergence(*args) for args in ((a, f, b), (f, a, b), (b, a, f))]
+                for f in (GaussianComponent(0.5, [sep], [[1.0]]) for sep in seps)
+            ]
+        )
+    # Continuous over the separations: the switch fades out towards D(a || b), and the others grow into +inf.
+    assert not np.isnan(rows).any()
+    assert np.allclose(rows[:, 0], kld_gauss(a, b), rtol=0.0, atol=1e-9)
+    grow = rows[:-2, 1:]
+    assert np.isfinite(grow).all() and np.all(np.diff(grow, axis=0) > 0.0) and np.all(rows[-2:, 1:] == np.inf)
 
 
 def test_switched_divergence_matches_quadrature():

@@ -301,9 +301,9 @@ def test_moment_match_overflow_is_factorization_error():
 
 
 def test_moment_match_zero_total_weight():
-    a = GaussianComponent(0.0, [0.0], [[1.0]])
-    with pytest.raises(ValueError, match="cannot merge a pair with zero total weight"):
-        moment_match_merge(a, a)
+    # A pair without weight cannot be built, so no merge meets one.
+    with pytest.raises(ValueError, match="component 1 weight must be finite, positive and at most 1, got 0.0"):
+        GaussianComponent(0.0, [0.0], [[1.0]])
 
 
 def test_component_validation():

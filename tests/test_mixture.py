@@ -3,7 +3,7 @@
 import math
 import pickle
 import re
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from gmreduce import (
     Prune,
     apply,
     enumerate_hypotheses,
+    moment_match_merge,
     sample,
 )
 from gmreduce.mixture import log_pdf, pdf
@@ -82,16 +83,34 @@ def test_mixture_validation():
     c = GaussianComponent(0.5, [0.0], [[1.0]])
     with pytest.raises(ValueError):
         GaussianMixture(())
-    # Weight positivity is one check with one message, whichever constructor is used.
-    with pytest.raises(ValueError, match="component 2 weight must be positive, got 0.0"):
+    # Weight positivity is one check with one message, whichever constructor is used:
+    # a zero-weight component is refused before any mixture can hold it.
+    with pytest.raises(ValueError, match="component 1 weight must be finite, positive and at most 1, got 0.0"):
         GaussianMixture((c, GaussianComponent(0.0, [1.0], [[1.0]])))
-    with pytest.raises(ValueError, match="component 2 weight must be positive, got 0.0"):
+    with pytest.raises(ValueError, match="component 2 weight must be finite, positive and at most 1, got 0.0"):
         GaussianMixture.from_arrays([0.5, 0.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
     with pytest.raises(ValueError):
         GaussianMixture((c, GaussianComponent(0.5, [0.0, 0.0], np.eye(2))))
     for bad in ((c, "not a component"), ("not a component",)):
         with pytest.raises(ValueError, match="is not a GaussianComponent"):
             GaussianMixture(bad)
+
+
+def test_every_weight_is_positive_with_one_message():
+    """Each way a weight enters refuses 0, and a merged weight above 1, with the one message of the weight rule."""
+    c = GaussianComponent(0.5, [0.0], [[1.0]])
+    m = GaussianMixture.from_arrays([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    message = "component {} weight must be finite, positive and at most 1, got {}"
+    for build, pos in (
+        (lambda: GaussianComponent(0.0, [0.0], [[1.0]]), 1),
+        (lambda: c.with_weight(0.0), 1),
+        (lambda: GaussianMixture.from_arrays([0.5, 0.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]]), 2),
+        (lambda: GaussianMixture._of(replace(m._arr, weights=np.array([0.5, 0.0]))), 2),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message.format(pos, 0.0))):
+            build()
+    with pytest.raises(ValueError, match=re.escape(message.format(1, 1.4))):
+        moment_match_merge(c.with_weight(0.7), c.with_weight(0.7))
 
 
 def test_mixture_properties():
@@ -116,7 +135,7 @@ def test_from_arrays():
         GaussianMixture.from_arrays([0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
     with pytest.raises(ValueError, match="1-D vector"):
         GaussianMixture.from_arrays([[0.3, 0.7]], [[0.0], [1.0]], [[[1.0]], [[2.0]]])
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match="component 1 weight must be finite, positive and at most 1, got 0.0"):
         GaussianMixture.from_arrays([0.0, 1.0], [[0.0], [1.0]], [[[1.0]], [[2.0]]])
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from conftest import random_mixture
+from conftest import random_component, random_mixture
 from gmreduce import (
     CostKind,
     EvalCounter,
@@ -359,6 +359,69 @@ def test_reduce_validation():
     for engine in (reduce, reference_reduce):
         with pytest.raises(ValueError, match="mixture weights sum to 2"):
             engine(heavy, 1, CostKind.ARKL_FULL)
+
+
+def test_a_cost_table_refuses_an_unnormalized_mixture():
+    """build_cost_table refuses what reduce refuses, with the same message, under every method."""
+    m = GaussianMixture.from_arrays([1.0, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    for kind in ALL_KINDS:
+        with pytest.raises(ValueError, match="mixture weights sum to 1.5, expected 1 within 1e-09"):
+            build_cost_table(m, kind)
+
+
+@pytest.mark.parametrize("weights", [[1e-200, 1.0], [1e-17, 1e-17, 1.0]])
+def test_a_prune_of_all_of_the_mass_costs_inf_in_both_engines(weights):
+    """Where the heavy weight rounds to 1, its prune costs +inf in both engines, with no warning and no NaN.
+
+    hypothesis_cost and apply still refuse that prune.
+    """
+    n = len(weights)
+    m = GaussianMixture.from_arrays(weights, [[float(i)] for i in range(n)], [[[1.0]]] * n)
+    heavy = Prune(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in (CostKind.ARKL_FULL, CostKind.ARKL_SIMPLE, CostKind.WILLIAMS_ISE):
+            table = build_cost_table(m, kind)
+            assert table.prune_cost[-1] == np.inf and np.isfinite(table.prune_cost[:-1]).all()
+            _, fast = reduce(m, 1, kind, record_all_costs=True)
+            _, slow = reference_reduce(m, 1, kind)
+            assert fast.steps[0].all_costs[heavy] == np.inf
+            assert [s.chosen for s in fast.steps] == [s.chosen for s in slow.steps]
+            with pytest.raises(ValueError, match=f"cannot prune component {n}: it carries all of the mass"):
+                hypothesis_cost(m, heavy, kind)
+        with pytest.raises(ValueError, match=f"cannot prune component {n}: it carries all of the mass"):
+            apply(m, heavy)
+
+
+def test_a_tie_with_a_prune_of_all_of_the_mass_goes_to_the_prune():
+    """On [1e-200, 1], Prune(1) and Merge(1, 2) both cost 0 under williams: prunes win ties in both engines."""
+    m = GaussianMixture.from_arrays([1e-200, 1.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    for engine in (reduce, reference_reduce):
+        (step,) = engine(m, 1, CostKind.WILLIAMS_ISE)[1].steps
+        assert (step.chosen, step.cost) == (Prune(1), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@example(2, 1, 0, -320.0)  # the other weight normalizes to exactly 1
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(-320.0, -16.0))
+def test_a_tiny_weight_reduces_without_warning_or_nan_in_both_engines(size, dim, seed, log_weight):
+    """One weight from 10^U(-320, -16) before normalizing: no RuntimeWarning, no NaN price, and both engines finish.
+
+    The engines may still split on rounding-decided near-ties here, so their choices are not compared.
+    """
+    rng = np.random.default_rng(seed)
+    comps = [random_component(rng, dim) for _ in range(size)]
+    raw = rng.uniform(0.2, 1.0, size)
+    raw[rng.integers(size)] = 10.0**log_weight
+    m = GaussianMixture.from_arrays(raw / raw.sum(), [c.mean for c in comps], [c.cov for c in comps])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kind in ALL_KINDS:
+            table = build_cost_table(m, kind)
+            assert not np.isnan(table.pair_cost).any()
+            assert table.prune_cost is None or not np.isnan(table.prune_cost).any()
+            for engine in (reduce, reference_reduce):
+                assert engine(m, 1, kind)[0].size == 1
 
 
 def test_negative_cost_is_flagged_not_clamped():

@@ -57,6 +57,14 @@ The ``uncounted`` digest covers the ``decisions`` records and the
 ``per_step_eval_counts``.  A change that moves ``decisions`` or
 ``narrow`` but not ``uncounted`` changed only what the engines bill,
 not what they chose.
+
+The ``tiny`` digest, printed last, covers one more family kept apart in
+the same way: ``PER_FAMILY`` mixtures of 2 to 8 well-conditioned
+components in d <= 3, one of whose weights is drawn from 10^U(-320, -16)
+before normalizing, so that it may be subnormal and another weight may
+round to 1.  Each is reduced to 1 under all four methods by both engines,
+recorded as ``narrow`` records its runs, a ``RuntimeWarning`` included,
+with a per-method engine-agreement count.
 """
 
 from __future__ import annotations
@@ -110,6 +118,17 @@ def _narrow_arrays(index: int):
     covs[:2] *= 1e-20
     direction = rng.normal(size=dim)
     means[1] += 1e150 * direction / np.linalg.norm(direction)
+    return weights / weights.sum(), means, covs
+
+
+def _tiny_arrays(index: int):
+    """(weights, means, covs) of one ``tiny`` mixture, before normalization."""
+    rng = np.random.default_rng([2 * len(FAMILIES) + 1, index])
+    size, dim = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    weights = rng.uniform(0.2, 1.0, size)
+    weights[rng.integers(size)] = 10.0 ** rng.uniform(-320.0, -16.0)
+    means = rng.uniform(-4.0, 4.0, (size, dim))
+    covs = [_spd(rng, dim, rng.uniform(0.0, 2.0)) for _ in range(size)]
     return weights / weights.sum(), means, covs
 
 
@@ -221,8 +240,8 @@ def main(argv=None) -> int:
             api.update(repr((family, index, api_record)).encode())
             switched.update(repr((family, index, switched_record)).encode())
     tally = dict.fromkeys(("mixtures", "steps", "flagged", "errors", "skipped", "agree", "compared"), 0)
-    agreement = {family: dict.fromkeys(CostKind, 0) for family in ("narrow", *FAMILIES[:2])}
-    compared = {"narrow": PER_FAMILY, **dict.fromkeys(FAMILIES, 0)}
+    agreement = {family: dict.fromkeys(CostKind, 0) for family in ("narrow", *FAMILIES[:2], "tiny")}
+    compared = {"narrow": PER_FAMILY, "tiny": PER_FAMILY, **dict.fromkeys(FAMILIES, 0)}
     for family in FAMILIES:
         for index in range(PER_FAMILY):
             try:
@@ -263,16 +282,18 @@ def main(argv=None) -> int:
                             continue
                         tally["agree"] += ref_trace.skipped == trace.skipped
                         reference.update(repr((key, _core_record(ref_trace, ref_out), _skipped_record(ref_trace))).encode())
-    narrow = hashlib.sha256()
-    for index in range(PER_FAMILY):
-        m = GaussianMixture.from_arrays(*_narrow_arrays(index))
-        for kind in CostKind:
-            (fast_key, fast, fast_uncounted), (ref_key, ref, ref_uncounted) = (
-                _engine_outcome(e, m, kind) for e in (reduce, reference_reduce)
-            )
-            agreement["narrow"][kind] += fast_key == ref_key
-            narrow.update(repr((index, kind.value, fast, ref)).encode())
-            uncounted.update(repr((index, kind.value, fast_uncounted, ref_uncounted)).encode())
+    narrow, tiny = hashlib.sha256(), hashlib.sha256()
+    for family, arrays, digest in (("narrow", _narrow_arrays, narrow), ("tiny", _tiny_arrays, tiny)):
+        for index in range(PER_FAMILY):
+            m = GaussianMixture.from_arrays(*arrays(index))
+            for kind in CostKind:
+                (fast_key, fast, fast_uncounted), (ref_key, ref, ref_uncounted) = (
+                    _engine_outcome(e, m, kind) for e in (reduce, reference_reduce)
+                )
+                agreement[family][kind] += fast_key == ref_key
+                digest.update(repr((index, kind.value, fast, ref)).encode())
+                if family == "narrow":
+                    uncounted.update(repr((index, kind.value, fast_uncounted, ref_uncounted)).encode())
     print(f"core       {core.hexdigest()}")
     print(f"decisions  {decisions.hexdigest()}")
     print(f"skipped    {skipped.hexdigest()}")
@@ -289,6 +310,7 @@ def main(argv=None) -> int:
     for family, counts in agreement.items():
         agree = ", ".join(f"{kind.value} {count}" for kind, count in counts.items())
         print(f"{family}-family reductions to 1 on which the engines agree, of {compared[family]}: {agree}")
+    print(f"tiny       {tiny.hexdigest()}")
     return 0
 
 
