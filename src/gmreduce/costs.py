@@ -24,6 +24,10 @@ components easily reach 10^3, so every such combination is evaluated
 with log-sum-exp; no intermediate ``exp(-e)`` is ever formed outside of
 it.
 
+The normal CDF Phi of the ``arkl`` Jensen-gap estimate comes from the
+standard library's ``math.erfc`` (:func:`_normal_cdf`), so importing the
+package loads no scipy.
+
 Costs are reported exactly as computed.  The refined prune surrogate is
 an upper bound on the reverse divergence of its prune.  The merge
 surrogate is not a bound: it is the plain pair bound less a closed-form
@@ -40,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import mixture as mix
 from .gauss import (
@@ -202,6 +205,13 @@ def mc_kld(from_: GaussianMixture, to: GaussianMixture, n: int, seed) -> Diverge
 # sigmoid(t) ~ Phi(_PROBIT * t); the scale matches the slope 1/4 at t = 0.
 _PROBIT = math.sqrt(math.pi / 8.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(u: np.ndarray) -> np.ndarray:
+    """Phi(u) = erfc(-u / sqrt 2) / 2, elementwise, accurate relative to Phi far into the lower tail."""
+    return 0.5 * _erfc(-_SQRT_HALF * u).astype(float)
 
 
 def _softplus_jensen_gap(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
@@ -218,7 +228,7 @@ def _softplus_jensen_gap(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
 
     def smoothed(k):
         u = _PROBIT * mean / k
-        return mean * ndtr(u) + (k / _PROBIT) * _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+        return mean * _normal_cdf(u) + (k / _PROBIT) * _INV_SQRT_2PI * np.exp(-0.5 * u * u)
 
     with np.errstate(over="ignore", invalid="ignore"):
         return smoothed(np.hypot(1.0, _PROBIT * sd)) - smoothed(1.0)
@@ -422,8 +432,13 @@ def switched_divergence(k: GaussianComponent, i: GaussianComponent, j: GaussianC
         return div
     w_i, w_k, z = sol[:, : k.dim], sol[:, k.dim : -1], sol[:, -1]
     elog_k = -0.5 * (k.dim * _LOG_2PI + k.log_det + float(np.sum(w_i * w_i)) + float(np.sum(np.square(z @ w_k))))
-    elog_j = _expected_log(pd.mean_star, pd.cov_star, j)
-    return div - ratio * (elog_k - elog_j)
+    rest, z = _expected_log(pd.mean_star, pd.cov_star, j)
+    with np.errstate(over="ignore"):
+        zz = float(z @ z)
+    if math.isfinite(zz):
+        return div - ratio * (elog_k + 0.5 * (rest + zz))
+    # ratio |z|^2 may be finite where |z|^2 overflows: square sqrt(ratio) z instead.
+    return div - (ratio * (elog_k + 0.5 * rest) + 0.5 * float(np.sum(np.square(math.sqrt(ratio) * z))))
 
 
 def arkl_merge_cost(a: GaussianComponent, b: GaussianComponent) -> float:

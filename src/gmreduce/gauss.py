@@ -493,20 +493,23 @@ def expected_log(under: GaussianComponent, of: GaussianComponent) -> float:
     """
     _pair_arrays(under, of)  # checks the types and dimensions
     with np.errstate(over="ignore"):  # a remote pair gives -inf, as kld_gauss gives +inf
-        return _expected_log(under.mean, under.cov, of)
+        rest, z = _expected_log(under.mean, under.cov, of)
+        return -0.5 * (rest + float(z @ z))
 
 
-def _expected_log(mean: np.ndarray, cov: np.ndarray, of: GaussianComponent) -> float:
-    """E[log of(x)] for any x with the given mean and covariance.
+def _expected_log(mean: np.ndarray, cov: np.ndarray, of: GaussianComponent) -> tuple[float, np.ndarray]:
+    """E[log of(x)] = -(rest + |z|^2) / 2 for any x with the given mean and covariance, as (rest, z).
 
-    Only ``of`` is factorized: ``cov`` enters through
-    tr(S_of^-1 cov) = sum((L^-1 cov) * L^-1), so it may be singular.
+    z = L^-1 (m_of - mean) is returned whole, so that a caller can scale
+    it before squaring where |z|^2 overflows.  Only ``of`` is factorized:
+    ``cov`` enters through tr(S_of^-1 cov) = sum((L^-1 cov) * L^-1), so it
+    may be singular.
     """
     k = of.dim
     rhs = np.concatenate([np.eye(k), cov, (of.mean - mean)[:, None]], axis=1)
     sol = _solve_lower(of._arr.chols, rhs[None])[0]
     inv, whitened, z = sol[:, :k], sol[:, k:-1], sol[:, -1]
-    return -0.5 * (k * _LOG_2PI + of.log_det + float(np.sum(whitened * inv)) + float(z @ z))
+    return k * _LOG_2PI + of.log_det + float(np.sum(whitened * inv)), z
 
 
 def max_value(c: GaussianComponent) -> float:

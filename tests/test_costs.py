@@ -273,6 +273,20 @@ def test_arkl_prune_cost_bounds_monte_carlo_divergence_in_higher_dimensions():
         assert arkl_prune_cost(m, j) >= est.value - 4.0 * est.std_error
 
 
+def test_normal_cdf_matches_scipy_ndtr():
+    """Phi from math.erfc keeps its relative accuracy over the body and into the far lower tail."""
+    from scipy.special import ndtr
+
+    body = np.linspace(-8.0, 8.0, 160_001)
+    assert np.max(np.abs(costs._normal_cdf(body) / ndtr(body) - 1.0)) <= 1e-14
+    tail = np.linspace(-40.0, 40.0, 400_001)
+    want = ndtr(tail)
+    normal = want >= 1e-300
+    assert np.max(np.abs(costs._normal_cdf(tail[normal]) / want[normal] - 1.0)) <= 1e-12
+    got = costs._normal_cdf(np.array([-np.inf, np.inf, np.nan]))
+    assert got[0] == 0.0 and got[1] == 1.0 and np.isnan(got[2])
+
+
 def test_switched_divergence_vanishes_on_identical_args():
     rng = np.random.default_rng(48)
     for dim in (1, 2, 3):
@@ -303,6 +317,27 @@ def test_switched_divergence_of_a_remote_component_is_its_limit():
     assert np.allclose(rows[:, 0], kld_gauss(a, b), rtol=0.0, atol=1e-9)
     grow = rows[:-2, 1:]
     assert np.isfinite(grow).all() and np.all(np.diff(grow, axis=0) > 0.0) and np.all(rows[-2:, 1:] == np.inf)
+
+
+def test_switched_divergence_scales_an_overflowing_square_before_forming_it():
+    """q_j far narrower than q_k, q_i overlapping q_k faintly: |z|^2 of E*[log q_j] overflows,
+    but ratio |z|^2 is finite, so the divergence is finite, formed as |sqrt(ratio) z|^2."""
+    k = GaussianComponent(1.0, [0.0], [[1e10]])
+    i = GaussianComponent(1.0, [3.7e6], [[1.0]])
+    j = GaussianComponent(1.0, [0.0], [[1e-296]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = switched_divergence(k, i, j)
+    pd = product_decompose(i, k)
+    ratio, m, s = pd.scale / max_value(i), float(pd.mean_star[0]), float(pd.cov_star[0, 0])
+    s_k, s_j = 1e10, 1e-296
+    z = (0.0 - m) / math.sqrt(s_j)
+    assert math.isinf(z * z) and 0.0 < ratio < 1e-300
+    elog_k = -0.5 * (math.log(2.0 * math.pi * s_k) + (s + m * m) / s_k)
+    scaled_elog_j = -0.5 * ratio * (math.log(2.0 * math.pi * s_j) + s / s_j) - 0.5 * (math.sqrt(ratio) * z) ** 2
+    want = kld_gauss(k, j) - (ratio * elog_k - scaled_elog_j)
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_switched_divergence_matches_quadrature():

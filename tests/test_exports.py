@@ -1,6 +1,8 @@
 """Every exported name resolves, so a deleted function cannot linger in ``__all__``."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +53,10 @@ def test_package_exports_what_its_modules_export():
     for name in gmreduce.__all__:
         owner = next(module for module in sources if name in module.__all__)
         assert getattr(gmreduce, name) is getattr(owner, name), name
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    """scipy is imported on first use only (``quadrature``), so set-up does not pay for it."""
+    code = "import sys, gmreduce, gmreduce.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ all four methods, once to 1 component and once by 4 steps, with
 * ``degenerate``: well-conditioned mixtures with one component moved to
   +-1e200, so that its merges cannot be moment-matched.
 
-It prints eight SHA-256 digests.  The core digest covers each
+It prints eleven SHA-256 digests.  The core digest covers each
 reduction's chosen hypotheses, costs (as hex), flags, ``all_costs``,
 evaluation counts, and the output weights, means, covariances, Cholesky
 factors and log determinants; a reduction that raises contributes its
@@ -65,6 +65,12 @@ before normalizing, so that it may be subnormal and another weight may
 round to 1.  Each is reduced to 1 under all four methods by both engines,
 recorded as ``narrow`` records its runs, a ``RuntimeWarning`` included,
 with a per-method engine-agreement count.
+
+The ``narrow-decisions`` and ``tiny-decisions`` digests, printed after
+it, cover the same runs of those two families with neither costs nor
+evaluation counts: each run's chosen hypotheses, flags, ``skipped`` and
+output, or its error type and message.  A change that moves ``narrow`` or
+``tiny`` but not these moved only the last digits of step costs.
 """
 
 from __future__ import annotations
@@ -133,14 +139,16 @@ def _tiny_arrays(index: int):
 
 
 def _engine_outcome(engine, m, kind):
-    """(agreement key, digest record, record without counts) of one reduction to 1, or of its error."""
+    """(agreement key, digest record, record without counts, record without costs and counts) of one
+    reduction to 1, or of its error."""
     try:
         out, trace = engine(m, 1, kind)
     except Exception as exc:
         error = (type(exc).__name__, str(exc))
-        return error[0], error, error
+        return error[0], error, error, error
     skipped, core = _skipped_record(trace), _core_record(trace, out)
-    return ([_hyp(s.chosen) for s in trace.steps], skipped), (core, skipped), (_uncounted(core), skipped)
+    decided = _uncounted(_decisions_record(trace, out))
+    return ([_hyp(s.chosen) for s in trace.steps], skipped), (core, skipped), (_uncounted(core), skipped), (decided, skipped)
 
 
 def _hyp(h) -> tuple:
@@ -282,16 +290,20 @@ def main(argv=None) -> int:
                             continue
                         tally["agree"] += ref_trace.skipped == trace.skipped
                         reference.update(repr((key, _core_record(ref_trace, ref_out), _skipped_record(ref_trace))).encode())
-    narrow, tiny = hashlib.sha256(), hashlib.sha256()
-    for family, arrays, digest in (("narrow", _narrow_arrays, narrow), ("tiny", _tiny_arrays, tiny)):
+    narrow, tiny, narrow_decisions, tiny_decisions = (hashlib.sha256() for _ in range(4))
+    for family, arrays, digest, decided in (
+        ("narrow", _narrow_arrays, narrow, narrow_decisions),
+        ("tiny", _tiny_arrays, tiny, tiny_decisions),
+    ):
         for index in range(PER_FAMILY):
             m = GaussianMixture.from_arrays(*arrays(index))
             for kind in CostKind:
-                (fast_key, fast, fast_uncounted), (ref_key, ref, ref_uncounted) = (
+                (fast_key, fast, fast_uncounted, fast_decided), (ref_key, ref, ref_uncounted, ref_decided) = (
                     _engine_outcome(e, m, kind) for e in (reduce, reference_reduce)
                 )
                 agreement[family][kind] += fast_key == ref_key
                 digest.update(repr((index, kind.value, fast, ref)).encode())
+                decided.update(repr((index, kind.value, fast_decided, ref_decided)).encode())
                 if family == "narrow":
                     uncounted.update(repr((index, kind.value, fast_uncounted, ref_uncounted)).encode())
     print(f"core       {core.hexdigest()}")
@@ -311,6 +323,8 @@ def main(argv=None) -> int:
         agree = ", ".join(f"{kind.value} {count}" for kind, count in counts.items())
         print(f"{family}-family reductions to 1 on which the engines agree, of {compared[family]}: {agree}")
     print(f"tiny       {tiny.hexdigest()}")
+    print(f"narrow-decisions  {narrow_decisions.hexdigest()}")
+    print(f"tiny-decisions    {tiny_decisions.hexdigest()}")
     return 0
 
 
