@@ -6,11 +6,15 @@ prune costs reflect the reverse divergence will discard the diffuse
 low-weight components that EM spends on background clutter, and the
 points assigned to them; a merge-only method must keep every point.
 
-Each EM iteration is a fixed number of stacked numpy calls on
-(component, point) arrays allocated once per fit, with one exp pass;
-its weighted log-density kernel also gives the final responsibilities
-and reassigns merged pairs' points.  In the iteration an exp below
-e^-700 is exactly zero, off exp's slow path (:func:`gauss._exp_ftz`).
+EM runs on sufficient statistics: each iteration is one stacked
+factorization and two matrix products with the points' quadratic
+features, built once per fit from the points centred on their mean, and
+one exp pass (see :func:`em_fit_details`).  Thin components, where that
+moment form would lose precision, keep the centred kernel
+(:func:`gauss._centered_log_pdfs`), which also gives the final
+responsibilities and reassigns merged pairs' points.  In the iteration an
+exp below e^-700 is exactly zero, off exp's slow path
+(:func:`gauss._exp_ftz`).
 
 Labels are 1-based component indices; :data:`DISCARDED` (-1) marks
 points dropped by a prune step.  Ground-truth arrays use the same
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import mixture as mix
 from .costs import CostKind
-from .gauss import ComponentArrays, _centered_log_pdfs, _cholesky, _log_sum_exp, _points
+from .gauss import _LOG_2PI, ComponentArrays, _centered_log_pdfs, _cholesky, _log_sum_exp, _points, _solve_lower
 from .mixture import GaussianMixture, Prune, _apply, _component_log_pdf
 from .reduction import ReductionTrace, reduce
 
@@ -201,21 +205,36 @@ def _factorize(covs: np.ndarray, eps: float, retries: int):
     raise EMError(f"covariance failed to factorize after {retries} jitter retries")
 
 
-def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
-    """Full EM fit with diagnostics; :func:`em_fit` is the plain wrapper.
+@dataclass(frozen=True, eq=False)
+class _EMData:
+    """What every EM iteration reads of the (n, d) points, built once per fit by :func:`_em_data`.
 
-    Expectation and maximization follow the standard Gaussian mixture
-    updates; initialization uses spread-out seeded means with identity
-    covariances scaled to the data variance.  Each iteration works on
-    all k components at once, in (k, d, n) and (k, n) buffers of the fit:
-    one stacked factorization (bumping only the rows that fail, see
-    :func:`_factorize`), the weighted log densities of the centred points
-    and their log-sum-exp (:func:`gauss._log_sum_exp`), whose shares are
-    the responsibilities, then one product for the means and one for the
-    covariances, whose centred points serve the next densities.  A
-    component that loses all responsibility is re-seeded at a random
-    point (``reinit_events``).  In the loop, not in the returned ones, an
-    exp below e^-700 of its column's largest is 0 (:func:`gauss._exp_ftz`).
+    ``features`` is the (m, n) array F = [1, y_i, y_i y_j (i <= j)] of the
+    centred points y = x - ``shift``, m = 1 + d + d(d + 1)/2; ``pairs`` are
+    the (i, j) of its quadratic rows, as from ``np.triu_indices(d)``, and
+    ``quad_scale`` their factor in -1/2 y'Py: -1/2 for i = j, -1 for i < j.
+    ``identity`` is the (k, d, d) right-hand side that gives each L^-1.
+    """
+
+    points: np.ndarray
+    points_t: np.ndarray  # (d, n), C-contiguous: the centred kernels' products stay on one BLAS path
+    shift: np.ndarray
+    features: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
+    quad_scale: np.ndarray
+    identity: np.ndarray
+    # A component is thin, and keeps the centred kernels, when tau |L^-1|_F^2 > 1: where
+    # the moment form could lose more than 2^-30 of its smallest variance (see em_fit_details).
+    tau: float
+    var_scale: float
+
+
+def _em_data(points, k: int) -> _EMData:
+    """Checks the points for a fit of ``k`` components and builds their features.
+
+    Raises EMError unless the points are a finite, non-empty (n, d) array
+    with n >= k whose variance scale and largest squared distance from
+    their mean, R^2, are finite.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -223,21 +242,112 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     if not np.all(np.isfinite(points)):
         raise EMError("points must be finite")
     n, dim = points.shape
-    k = cfg.n_clusters
     if n < k:
         raise EMError(f"cannot fit {k} clusters to {n} points")
-    rng = np.random.default_rng(cfg.seed)
-    var_scale = float(np.mean(np.var(points, axis=0)))
+    points_t = np.ascontiguousarray(points.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_scale = float(np.mean(np.var(points, axis=0)))
+        shift = points.mean(axis=0)
+        centered = points_t - shift[:, None]
+        radius_sq = float(np.max(np.sum(np.square(centered), axis=0)))
+    if not (np.isfinite(var_scale) and np.isfinite(radius_sq)):
+        raise EMError("the squared spread of the points overflows")
     if var_scale <= 0.0:
         var_scale = 1.0
-    eps = _JITTER * var_scale
-    means = _seed_means(points, k, rng)
-    covs = np.tile(var_scale * np.eye(dim), (k, 1, 1))
+    pairs = np.triu_indices(dim)
+    features = np.concatenate([np.ones((1, n)), centered, centered[pairs[0]] * centered[pairs[1]]])
+    tau = 2.0**30 * np.finfo(float).eps * radius_sq
+    identity = np.broadcast_to(np.eye(dim), (k, dim, dim))
+    quad_scale = np.where(pairs[0] == pairs[1], -0.5, -1.0)
+    return _EMData(points, points_t, shift, features, pairs, quad_scale, identity, tau, var_scale)
+
+
+@dataclass(frozen=True, eq=False)
+class _EMStep:
+    """One EM iteration (:func:`_em_step`): the evaluated parameters and their update."""
+
+    covs: np.ndarray  # the covariances that were evaluated, bumps applied
+    bumps: int
+    log_likelihood: float
+    update: tuple[np.ndarray, np.ndarray, np.ndarray]  # the next (weights, means, covs)
+    dead: int  # components re-seeded by the update
+
+
+def _em_step(data: _EMData, weights: np.ndarray, means: np.ndarray, covs: np.ndarray, rng) -> _EMStep:
+    """One iteration of :func:`em_fit_details`: factorize, expect, maximize."""
+    n, dim = data.points.shape
+    k = len(weights)
+    covs, chols, log_dets, bumps = _factorize(covs, _JITTER * data.var_scale, _MAX_JITTER_RETRIES)
+    lo, hi = data.pairs
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = _solve_lower(chols, data.identity)
+        thin = ~(data.tau * np.sum(np.square(inv), axis=(1, 2)) <= 1.0)
+        # -1/2 |L^-1 (y - mu)|^2 = -1/2 y'Py + y'P mu - 1/2 |z|^2, with P = L^-T L^-1 and z = L^-1 mu.
+        z = np.matmul(inv, (means - data.shift)[:, :, None])
+        prec = np.matmul(inv.transpose(0, 2, 1), np.concatenate([inv, z], axis=2))  # [P | P mu]
+        coef = np.empty((k, len(data.features)))
+        coef[:, 0] = np.log(weights) - 0.5 * (dim * _LOG_2PI + log_dets + np.sum(np.square(z), axis=(1, 2)))
+        coef[:, 1 : 1 + dim] = prec[:, :, dim]
+        coef[:, 1 + dim :] = data.quad_scale * prec[:, lo, hi]
+    coef[thin] = 0.0
+    log_terms = coef @ data.features
+    if thin.any():
+        arr = ComponentArrays(weights, means, covs, chols, log_dets).take(thin)
+        log_terms[thin] = _centered_log_pdfs(arr, data.points_t - means[thin, :, None])
+    log_norm, resp = _log_sum_exp(log_terms, log_terms)
+    total_ll = float(np.sum(log_norm))
+
+    counts = resp.sum(axis=1)
+    dead = np.flatnonzero(counts < n * 1e-12)
+    counts[dead] = 1.0
+    new_means = resp @ data.points / counts[:, None]
+    for c in dead:
+        new_means[c] = data.points[rng.integers(n)]
+    moments = resp @ data.features[1:].T / counts[:, None]
+    first = moments[:, :dim]
+    new_covs = np.empty((k, dim, dim))
+    new_covs[:, lo, hi] = new_covs[:, hi, lo] = moments[:, dim:] - first[:, lo] * first[:, hi]
+    if thin.any():
+        centered = data.points_t - new_means[thin, :, None]
+        thin_covs = (centered * resp[thin, None]) @ centered.transpose(0, 2, 1) / counts[thin, None, None]
+        new_covs[thin] = 0.5 * (thin_covs + thin_covs.transpose(0, 2, 1))
+    new_covs[dead] = data.var_scale * np.eye(dim)
+    return _EMStep(covs, int(bumps.sum()), total_ll, (counts / counts.sum(), new_means, new_covs), dead.size)
+
+
+def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
+    """Full EM fit with diagnostics; :func:`em_fit` is the plain wrapper.
+
+    Expectation and maximization follow the standard Gaussian mixture
+    updates; initialization uses spread-out seeded means with identity
+    covariances scaled to the data variance.  Each iteration
+    (:func:`_em_step`) works on all k components at once: one stacked
+    factorization (bumping only the rows that fail, see :func:`_factorize`),
+    then two products with the points' quadratic features
+    F = [1, y_i, y_i y_j (i <= j)], built once per fit from the points
+    centred on their mean, y = x - mean(x).  The weighted log densities are
+    (k, m) coefficients @ F, and their log-sum-exp
+    (:func:`gauss._log_sum_exp`) gives the responsibilities; the second
+    moments are responsibilities @ F^T, less the outer product of the first
+    moments.  The means are responsibilities @ x / counts.
+
+    The moment form loses about eps R^2 / lambda_min(S) of precision, with
+    R^2 the largest |y|^2.  So a *thin* component, one with
+    tau |L^-1|_F^2 > 1 for tau = 2^30 eps R^2 (|L^-1|_F^2 = tr S^-1 bounds
+    1 / lambda_min), keeps the exact centred kernels: its log densities come
+    from :func:`gauss._centered_log_pdfs` and its covariance from the
+    responsibility-weighted product of the points centred on its new mean.
+    A component that loses all responsibility is re-seeded at a random
+    point (``reinit_events``).  In the loop, not in the returned ones, an
+    exp below e^-700 of its column's largest is 0 (:func:`gauss._exp_ftz`).
+    The returned responsibilities come from the centred kernel on every row.
+    """
+    k = cfg.n_clusters
+    data = _em_data(points, k)
+    rng = np.random.default_rng(cfg.seed)
     weights = np.full(k, 1.0 / k)
-    points_t = np.ascontiguousarray(points.T)
-    centered, work = np.empty((2, k, dim, n))  # centred points; whitened or weighted ones
-    log_terms, resp = np.empty((2, k, n))
-    np.subtract(points_t, means[:, :, None], out=centered)
+    means = _seed_means(data.points, k, rng)
+    covs = np.tile(data.var_scale * np.eye(data.points.shape[1]), (k, 1, 1))
 
     lls: list[float] = []
     perturbed: list[int] = []
@@ -245,42 +355,29 @@ def em_fit_details(points: np.ndarray, cfg: EMConfig) -> EMFit:
     reinit_events = 0
     converged = False
     for it in range(cfg.max_iters):
-        covs, chols, log_dets, bumps = _factorize(covs, eps, _MAX_JITTER_RETRIES)
-        jitter_events += int(bumps.sum())
-        _centered_log_pdfs(ComponentArrays(weights, means, covs, chols, log_dets), centered, work, log_terms)
-        total_ll = float(np.sum(_log_sum_exp(log_terms, resp)[0]))
-        if not np.isfinite(total_ll):
+        step = _em_step(data, weights, means, covs, rng)
+        jitter_events += step.bumps
+        if not np.isfinite(step.log_likelihood):
             raise EMError(f"log-likelihood became non-finite at iteration {it}")
-        if bumps.any():
+        if step.bumps:
             perturbed.append(it)
-        lls.append(total_ll)
+        lls.append(step.log_likelihood)
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol:
             converged = True
+            covs = step.covs
             break
-        # Maximization.
-        counts = resp.sum(axis=1)
-        dead = np.flatnonzero(counts < n * 1e-12)
-        counts[dead] = 1.0
-        means = resp @ points / counts[:, None]
-        for c in dead:
-            means[c] = points[rng.integers(n)]
-        np.subtract(points_t, means[:, :, None], out=centered)
-        np.multiply(centered, resp[:, None], out=work)
-        covs = work @ centered.transpose(0, 2, 1) / counts[:, None, None]
-        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-        covs[dead] = var_scale * np.eye(dim)
-        reinit_events += dead.size
-        if dead.size and (not perturbed or perturbed[-1] != it):
+        weights, means, covs = step.update
+        reinit_events += step.dead
+        if step.dead and (not perturbed or perturbed[-1] != it):
             perturbed.append(it)
-        weights = counts / counts.sum()
 
-    covs, chols, log_dets, bumps = _factorize(covs, eps, _MAX_JITTER_RETRIES)
+    covs, chols, log_dets, bumps = _factorize(covs, _JITTER * data.var_scale, _MAX_JITTER_RETRIES)
     jitter_events += int(bumps.sum())
     final = ComponentArrays(weights / weights.sum(), means, covs, chols, log_dets)
     # Responsibilities always correspond to the returned parameters (the
-    # loop may have ended on a maximization step); `centered` holds the final means.
-    log_terms = _centered_log_pdfs(final, centered, work, log_terms)
-    resp = np.exp(log_terms - _log_sum_exp(log_terms, resp)[0]).T
+    # loop may have ended on a maximization step).
+    log_terms = _centered_log_pdfs(final, data.points_t - means[:, :, None])
+    resp = np.exp(log_terms - _log_sum_exp(log_terms)[0]).T
     return EMFit(
         GaussianMixture._of(final),
         resp,

@@ -307,22 +307,25 @@ def _overlaps(a: ComponentArrays, b: ComponentArrays, *cols) -> tuple[np.ndarray
     return values, sol
 
 
-def _centered_log_pdfs(arr: ComponentArrays, centered: np.ndarray, work=None, out=None) -> np.ndarray:
+def _centered_log_pdfs(arr: ComponentArrays, centered: np.ndarray) -> np.ndarray:
     """The (P, n) matrix of log w_p + log q_p(x_i), from the (P, k, n) points x_i - m_p.
 
     Forms each inverse factor L_p^-1 once (forward substitution on the
     identity), whitens in one stacked product z = L_p^-1 (x_i - m_p), and
     adds log w_p - 1/2 (k log 2 pi + log |S_p| + |z|^2).  Centring first
     keeps the digits that L_p^-1 x_i - L_p^-1 m_p would cancel near a
-    thin component.  ``work`` (P, k, n) and ``out`` are optional buffers.
-    An overflowing |z|^2 gives an entry of -inf.
+    thin component.  A lone point is whitened and summed as a batch of two
+    copies: numpy hands a (k, k) @ (k, 1) product to BLAS's matrix-vector
+    kernel, and sums a lone column pairwise, both of which round otherwise
+    than for a batch.  So a point's terms are its column of any batch.  An
+    overflowing |z|^2 gives an entry of -inf.
     """
-    p, k, _ = centered.shape
+    p, k, n = centered.shape
     with np.errstate(over="ignore"):
         # A contiguous operand keeps matmul on its BLAS path.
         inv = np.ascontiguousarray(_solve_lower(arr.chols, np.broadcast_to(np.eye(k), (p, k, k))))
-        z = np.matmul(inv, centered, out=work)
-        out = np.sum(np.square(z, out=z), axis=1, out=out)
+        z = np.matmul(inv, centered if n > 1 else np.repeat(centered, 2, axis=2))
+        out = np.sum(np.square(z, out=z), axis=1)[:, :n]
         out *= -0.5
         out += (np.log(arr.weights) - 0.5 * (k * _LOG_2PI + arr.log_dets))[:, None]
     return out

@@ -1,6 +1,7 @@
 """Data generation, EM fitting and the reduce-and-reassign workflow."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -226,71 +227,85 @@ def test_factorize_fast_path_is_one_stacked_cholesky():
     # A failing row takes the bump loop: test_factorizable_jitter_retries.
 
 
-def _loop_em_fit(points, cfg):
-    """The per-component EM loop that the stacked iteration replaced, kept as an oracle.
+def _loop_component(weight, mean, cov, eps):
+    """A validated component of ``cov``, bumped by multiples of ``eps`` until it factorizes, and the bumps."""
+    for attempt in range(cluster._MAX_JITTER_RETRIES + 1):
+        try:
+            return GaussianComponent(weight, mean, cov + attempt * eps * np.eye(len(mean))), attempt
+        except np.linalg.LinAlgError:
+            continue
+    raise EMError("covariance failed to factorize")
 
-    Same seeding, jitter and re-seed rules, written one component at a
-    time with validated components and their own log densities.
+
+def _loop_em_step(points, var_scale, weights, means, covs, rng):
+    """One iteration of the per-component EM loop that the stacked iteration replaced, kept as an oracle.
+
+    The same jitter and re-seed rules as :func:`cluster._em_step`, written
+    one component at a time with validated components and their own log
+    densities.  Returns (log-likelihood, bumps, the covariances evaluated,
+    the next (weights, means, covs), components re-seeded).
     """
+    n, dim = points.shape
+    eps = cluster._JITTER * var_scale
+    means, covs = means.copy(), covs.copy()
+    comps, bumps = [], 0
+    for c in range(len(weights)):
+        comp, attempts = _loop_component(weights[c], means[c], covs[c], eps)
+        comps.append(comp)
+        if attempts:
+            bumps += attempts
+            covs[c] = comp.cov
+    evaluated = covs.copy()
+    log_terms = np.stack([np.log(weights[c]) + component_log_pdf(comp, points) for c, comp in enumerate(comps)], 1)
+    log_norm = logsumexp(log_terms, axis=1)
+    resp = np.exp(log_terms - log_norm[:, None])
+    counts = resp.sum(axis=0)
+    dead = 0
+    for c in range(len(weights)):
+        if counts[c] < n * 1e-12:
+            means[c] = points[rng.integers(n)]
+            covs[c] = var_scale * np.eye(dim)
+            counts[c] = 1.0
+            dead += 1
+        else:
+            mu = resp[:, c] @ points / counts[c]
+            centered = points - mu
+            cov = (resp[:, c, None] * centered).T @ centered / counts[c]
+            means[c] = mu
+            covs[c] = 0.5 * (cov + cov.T)
+    return float(np.sum(log_norm)), bumps, evaluated, (counts / counts.sum(), means, covs), dead
+
+
+def _loop_em_fit(points, cfg):
+    """The per-component EM loop: :func:`_loop_em_step` under em_fit_details' seeding and stopping rules."""
     n, dim = points.shape
     k = cfg.n_clusters
     rng = np.random.default_rng(cfg.seed)
     var_scale = float(np.mean(np.var(points, axis=0)))
     if var_scale <= 0.0:
         var_scale = 1.0
-    eps = cluster._JITTER * var_scale
-
-    def factorizable(weight, mean, cov):
-        for attempt in range(cluster._MAX_JITTER_RETRIES + 1):
-            try:
-                return GaussianComponent(weight, mean, cov + attempt * eps * np.eye(dim)), attempt
-            except np.linalg.LinAlgError:
-                continue
-        raise EMError("covariance failed to factorize")
-
     means = _seed_means(points, k, rng)
     covs = np.tile(var_scale * np.eye(dim), (k, 1, 1))
     weights = np.full(k, 1.0 / k)
     lls, perturbed = [], []
     jitter_events = reinit_events = 0
     for it in range(cfg.max_iters):
-        comps = []
-        touched = False
-        for c in range(k):
-            comp, bumps = factorizable(weights[c], means[c], covs[c])
-            comps.append(comp)
-            if bumps:
-                jitter_events += bumps
-                covs[c] = comp.cov
-                touched = True
-        log_terms = np.stack([np.log(weights[c]) + component_log_pdf(comp, points) for c, comp in enumerate(comps)], 1)
-        log_norm = logsumexp(log_terms, axis=1)
-        resp = np.exp(log_terms - log_norm[:, None])
-        if touched:
+        ll, bumps, evaluated, update, dead = _loop_em_step(points, var_scale, weights, means, covs, rng)
+        jitter_events += bumps
+        if bumps:
             perturbed.append(it)
-        lls.append(float(np.sum(log_norm)))
+        lls.append(ll)
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) <= cfg.tol:
+            covs = evaluated
             break
-        counts = resp.sum(axis=0)
-        for c in range(k):
-            if counts[c] < n * 1e-12:
-                means[c] = points[rng.integers(n)]
-                covs[c] = var_scale * np.eye(dim)
-                counts[c] = 1.0
-                reinit_events += 1
-                if not perturbed or perturbed[-1] != it:
-                    perturbed.append(it)
-            else:
-                mu = resp[:, c] @ points / counts[c]
-                centered = points - mu
-                cov = (resp[:, c, None] * centered).T @ centered / counts[c]
-                means[c] = mu
-                covs[c] = 0.5 * (cov + cov.T)
-        weights = counts / counts.sum()
+        weights, means, covs = update
+        reinit_events += dead
+        if dead and (not perturbed or perturbed[-1] != it):
+            perturbed.append(it)
     final = []
     for c in range(k):
-        comp, bumps = factorizable(weights[c], means[c], covs[c])
-        jitter_events += bumps
+        comp, attempts = _loop_component(weights[c], means[c], covs[c], cluster._JITTER * var_scale)
+        jitter_events += attempts
         final.append(comp)
     mixture = GaussianMixture(tuple(final)).renormalized()
     log_terms = np.stack([np.log(c.weight) + component_log_pdf(c, points) for c in mixture.components], 1)
@@ -298,14 +313,16 @@ def _loop_em_fit(points, cfg):
     return mixture, resp, lls, jitter_events, reinit_events, perturbed
 
 
-def _assert_matches_loop(points, cfg):
+def _assert_matches_loop(points, cfg, scale=1.0):
+    """The fit of ``points`` equals the per-component loop's, in the units of ``points / scale``."""
     fit = em_fit_details(points, cfg)
     mixture, resp, lls, jitter_events, reinit_events, perturbed = _loop_em_fit(points, cfg)
-    assert np.allclose(fit.log_likelihoods, lls, rtol=1e-9, atol=0.0)
+    offset = points.size * np.log(scale)  # each log density of points * s is that of points less d log s
+    assert np.allclose(np.add(fit.log_likelihoods, offset), np.add(lls, offset), rtol=1e-9, atol=0.0)
     for got, want in zip(fit.mixture.components, mixture.components):
         assert abs(got.weight - want.weight) <= 1e-9
-        assert np.allclose(got.mean, want.mean, rtol=0.0, atol=1e-9)
-        assert np.allclose(got.cov, want.cov, rtol=0.0, atol=1e-9)
+        assert np.allclose(got.mean / scale, want.mean / scale, rtol=0.0, atol=1e-9)
+        assert np.allclose(got.cov / scale**2, want.cov / scale**2, rtol=0.0, atol=1e-9)
     assert np.allclose(fit.responsibilities, resp, rtol=0.0, atol=1e-9)
     assert (fit.jitter_events, fit.reinit_events) == (jitter_events, reinit_events)
     assert fit.perturbed_iterations == tuple(perturbed)
@@ -332,17 +349,69 @@ def test_stacked_em_matches_component_loop(dim):
     assert len(fit.log_likelihoods) == 20
 
 
+def _is_thin(data, cov):
+    """em_fit_details' thin-row rule, tau tr S^-1 > 1, evaluated apart from the iteration."""
+    return data.tau * np.trace(np.linalg.inv(cov)) > 1.0
+
+
 def test_stacked_em_matches_component_loop_on_jitter_and_reseed():
     # Constant data: every covariance is zero and is bumped on every iteration.
     fit = _assert_matches_loop(np.ones((20, 2)), EMConfig(n_clusters=2, max_iters=20, seed=0))
     assert fit.jitter_events > 0 and fit.perturbed_iterations
-    # Five components on five points, two of them equal: components
-    # collapse onto single points and are bumped row by row, and one
-    # loses all responsibility and is re-seeded.
-    pts = np.array([[1.0], [10.0], [11.0], [50.0], [50.0]])
-    fit = _assert_matches_loop(pts, EMConfig(n_clusters=5, max_iters=20, seed=3))
-    assert fit.reinit_events == 1
-    assert fit.jitter_events > 0
+    # One iteration from parameters that force each branch: a covariance
+    # that does not factorize (bumped), a remote component that gets no
+    # responsibility (re-seeded), and a thin component on a tight group of
+    # points (the centred kernels), beside two ordinary ones.  Whole fits
+    # that collapse are decided by their last bits (a stacked product and a
+    # per-row one round differently), so they are compared one step at a time.
+    rng = np.random.default_rng(96)
+    for dim in (1, 2, 3):
+        pts = np.vstack(
+            [rng.normal(size=(60, dim)), 6.0 + rng.normal(size=(60, dim)), 3.0 + 1e-6 * rng.normal(size=(5, dim))]
+        )
+        data = cluster._em_data(pts, 5)
+        weights = np.array([0.3, 0.3, 0.2, 0.1, 0.1])
+        means = np.stack([np.zeros(dim), np.full(dim, 6.0), np.full(dim, 1e4), np.full(dim, 3.0), np.full(dim, 2.0)])
+        covs = np.stack([np.eye(dim), np.eye(dim), np.eye(dim), 1e-12 * np.eye(dim), np.ones((dim, dim))])
+        assert _is_thin(data, covs[3]) and not any(_is_thin(data, covs[c]) for c in (0, 1, 2))
+        step = cluster._em_step(data, weights, means, covs, np.random.default_rng(7))
+        ll, bumps, evaluated, (w, m, c), dead = _loop_em_step(
+            pts, data.var_scale, weights, means, covs, np.random.default_rng(7)
+        )
+        assert (step.bumps, step.dead) == (bumps, dead)
+        assert bumps == int(dim > 1) and dead >= 1
+        assert np.array_equal(step.covs, evaluated)
+        assert np.isclose(step.log_likelihood, ll, rtol=1e-9, atol=0.0)
+        got_w, got_m, got_c = step.update
+        assert np.allclose(got_w, w, rtol=0.0, atol=1e-9)
+        assert np.allclose(got_m, m, rtol=0.0, atol=1e-9)
+        assert np.allclose(got_c, c, rtol=0.0, atol=1e-9)
+        # The thin component's new covariance, about 1e-12, holds to the oracle's relative precision.
+        assert np.allclose(got_c[3], c[3], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("separation", [1e2, 1e4, 1e6])
+def test_stacked_em_matches_component_loop_on_remote_clusters(separation):
+    """Two width-1 clusters far apart: the moment form would lose the covariances; thin rows keep them."""
+    rng = np.random.default_rng(97)
+    pts = np.vstack([rng.normal(size=(100, 2)), [separation, 0.0] + rng.normal(size=(100, 2))])
+    fit = _assert_matches_loop(pts, EMConfig(n_clusters=2, max_iters=30, seed=1))
+    for comp in fit.mixture.components:
+        assert np.allclose(comp.cov, np.eye(2), atol=0.3)
+
+
+@pytest.mark.parametrize("shift, scale, k", [(1e3, 1.0, 2), (1e6, 1.0, 2), (0.0, 1e-150, 6), (0.0, 1e150, 6)])
+def test_stacked_em_matches_component_loop_on_shifted_and_scaled_data(shift, scale, k):
+    """Features centred on the data's mean keep the moment form's precision far from the origin and at any scale.
+
+    At a shift of 1e6 the oracle's 1e-9 on the means is about 8 ulps of the
+    data: a well-determined fit (k = 2) holds it, an over-fit one does not
+    reliably, with stacked or per-row sums alike.
+    """
+    pts = generate_corrupted_data(200, 20, seed=26).points
+    _assert_matches_loop((pts + shift) * scale, EMConfig(n_clusters=k, max_iters=20, seed=5), scale)
+    # The thin threshold does not grow with the shift, so these fits run the moment form.
+    assert np.isclose(cluster._em_data(pts + shift, k).tau, cluster._em_data(pts, k).tau, rtol=1e-6)
 
 
 def test_em_flushes_in_loop_responsibilities_below_e_minus_700(monkeypatch):
@@ -388,6 +457,15 @@ def test_em_rejects_non_finite_points():
         pts[3, 1] = bad
         with pytest.raises(EMError):
             em_fit_details(pts, EMConfig(n_clusters=2, seed=0))
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+def test_em_refuses_points_whose_squared_spread_overflows(scale):
+    pts = generate_corrupted_data(100, 10, seed=27).points * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EMError, match="squared spread of the points overflows"):
+            em_fit_details(pts, EMConfig(n_clusters=3, seed=0))
 
 
 def test_em_is_bit_deterministic():

@@ -58,13 +58,15 @@ def test_log_pdf_matches_direct_sum():
     )
     assert np.allclose(log_pdf(m, xs), direct, rtol=1e-12)
     assert isinstance(log_pdf(m, xs[0]), float)
-    # In d = 1 a point's log density is its row of a batch, bit for bit,
-    # at any mixture size: the components are summed in order either way.
-    for size in (1, 7, 8, 9, 12, 16):
-        for _ in range(10):
-            m = random_mixture(rng, size, 1)
-            xs = rng.uniform(-5.0, 5.0, (5, 1))
-            assert [log_pdf(m, x) for x in xs] == log_pdf(m, xs).tolist()
+    # A point's log density is its row of a batch, bit for bit, in any
+    # dimension and at any mixture size: the components are summed in order
+    # either way, and a lone point is whitened as a batch.
+    for dim in range(1, 9):
+        for size in (1, 7, 8, 9, 12, 16):
+            for _ in range(10):
+                m = random_mixture(rng, size, dim)
+                xs = rng.uniform(-5.0, 5.0, (5, dim))
+                assert [log_pdf(m, x) for x in xs] == log_pdf(m, xs).tolist()
 
 
 def test_log_pdf_rejects_points_of_another_rank():

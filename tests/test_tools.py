@@ -49,3 +49,17 @@ def test_bench_summary_pairs_runs_by_workload_and_seed(tmp_path):
     # Lower is better for memory: one tie, three losses.
     rss = deep["metrics"]["peak_rss_mb"]
     assert (rss["won"], rss["lost"], rss["tied"]) == (0, 3, 1)
+
+
+def test_digest_diff_summarizes_a_moved_em_fit():
+    fit_change = _load("digest_diff").fit_change
+    old = "seed  0 cap 500 iters 375 converged 1 jitter 189 reinit 0 ll -0x1.3aadb3b46a6e4p+12 params 60c5"
+    new = "seed  0 cap 500 iters 376 converged 1 jitter 186 reinit 0 ll -0x1.3c7ae67050d16p+12 params d12d"
+    ll_old, ll_new = float.fromhex("-0x1.3aadb3b46a6e4p+12"), float.fromhex("-0x1.3c7ae67050d16p+12")
+    rel = f"{abs(ll_new - ll_old) / abs(ll_old):.2g}"
+    assert fit_change(old, new) == f"seed  0 cap 500: ll relative change {rel}, iters 375 -> 376, jitter 189 -> 186"
+    assert fit_change(old, old.replace("params 60c5", "params 8f65")) == "seed  0 cap 500: ll relative change 0"
+    # Lines of other fits, error lines and the overall digest get no summary.
+    assert fit_change(old, new.replace("seed  0", "seed  1")) is None
+    assert fit_change(old, "seed  0 cap 500 error EMError: covariance failed to factorize") is None
+    assert fit_change("all      77ad", "all      048d") is None
